@@ -20,7 +20,9 @@
 // {1, 2, 4, sockets} × Parallelism {1, 8} (diff_test.go), and a seeded
 // property-based generator drawing random topologies, workloads and
 // perturbation configs that cross-checks the engines on machine-state
-// fingerprints and the physical invariant suite (prop_test.go).
+// fingerprints and the physical invariant suite (prop_test.go). A third,
+// golden_test.go, compares fingerprints across commits instead: it pins
+// committed digests of contention-heavy runs.
 package difftest
 
 import (

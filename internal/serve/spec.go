@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"strings"
+	"sync"
 
 	"repro/internal/exp"
 	"repro/internal/perturb"
@@ -239,31 +242,71 @@ func (s Spec) Context(interrupt <-chan struct{}) (*exp.Context, error) {
 }
 
 // CodeVersion resolves the running build's identity for cache keys: the
-// VCS revision when the binary was built from a stamped checkout (plus
-// a dirty marker), else the module version, else "devel". Server tests
-// pin Config.Version instead, so key derivation stays testable.
+// VCS revision when the binary was built from a clean stamped checkout,
+// else the module version, else the SHA-256 of the running executable.
+// A dirty checkout's revision does not name its source, and a build
+// without VCS info (tarball, -buildvcs=false) has no revision at all,
+// so both fall back to the executable hash: two different binaries never
+// share cache keys. The result is computed once per process. Server
+// tests pin Config.Version instead, so key derivation stays testable.
 func CodeVersion() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "devel"
-	}
-	var rev, modified string
-	for _, st := range bi.Settings {
-		switch st.Key {
-		case "vcs.revision":
-			rev = st.Value
-		case "vcs.modified":
-			modified = st.Value
+	codeVersionOnce.Do(func() {
+		codeVersion = resolveCodeVersion(debug.ReadBuildInfo, executableHash)
+	})
+	return codeVersion
+}
+
+var (
+	codeVersionOnce sync.Once
+	codeVersion     string
+)
+
+// resolveCodeVersion is CodeVersion with its two sources injected.
+// exeHash is consulted only when the build info does not name the
+// source; if it fails too, the identity degrades to "devel" (or the
+// revision marked dirty), which is all the build can tell.
+func resolveCodeVersion(readBuildInfo func() (*debug.BuildInfo, bool), exeHash func() (string, error)) string {
+	fallback := "devel"
+	if bi, ok := readBuildInfo(); ok {
+		var rev, modified string
+		for _, st := range bi.Settings {
+			switch st.Key {
+			case "vcs.revision":
+				rev = st.Value
+			case "vcs.modified":
+				modified = st.Value
+			}
+		}
+		switch {
+		case rev != "" && modified != "true":
+			return rev
+		case rev != "":
+			fallback = rev + "+dirty"
+		case bi.Main.Version != "" && bi.Main.Version != "(devel)":
+			return bi.Main.Version
 		}
 	}
-	if rev != "" {
-		if modified == "true" {
-			return rev + "+dirty"
-		}
-		return rev
+	h, err := exeHash()
+	if err != nil {
+		return fallback
 	}
-	if v := bi.Main.Version; v != "" && v != "(devel)" {
-		return v
+	return fallback + "+exe." + h
+}
+
+// executableHash returns the hex SHA-256 of the running executable.
+func executableHash() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
 	}
-	return "devel"
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("hashing %s: %w", path, err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

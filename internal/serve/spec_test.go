@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -131,5 +133,66 @@ func TestCanonicalJSONIsTotal(t *testing.T) {
 	want := `{"experiment":"fig1","reps":10,"scale":1,"seed":20100109,"perturb":"","predict":false,"trace":false,"metrics":false}`
 	if got != want {
 		t.Errorf("canonical JSON\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestCodeVersionResolution(t *testing.T) {
+	info := func(version string, settings ...string) func() (*debug.BuildInfo, bool) {
+		return func() (*debug.BuildInfo, bool) {
+			bi := &debug.BuildInfo{Main: debug.Module{Version: version}}
+			for i := 0; i+1 < len(settings); i += 2 {
+				bi.Settings = append(bi.Settings, debug.BuildSetting{Key: settings[i], Value: settings[i+1]})
+			}
+			return bi, true
+		}
+	}
+	noInfo := func() (*debug.BuildInfo, bool) { return nil, false }
+	exe := func(h string) func() (string, error) {
+		return func() (string, error) { return h, nil }
+	}
+	exeFails := func() (string, error) { return "", errors.New("no executable") }
+	for _, c := range []struct {
+		name string
+		read func() (*debug.BuildInfo, bool)
+		hash func() (string, error)
+		want string
+	}{
+		{"clean checkout", info("(devel)", "vcs.revision", "abc123", "vcs.modified", "false"), exeFails, "abc123"},
+		{"dirty checkout", info("(devel)", "vcs.revision", "abc123", "vcs.modified", "true"), exe("e1"), "abc123+dirty+exe.e1"},
+		{"module version", info("v1.2.3"), exeFails, "v1.2.3"},
+		{"no vcs info", info("(devel)"), exe("e1"), "devel+exe.e1"},
+		{"no build info", noInfo, exe("e2"), "devel+exe.e2"},
+		{"no vcs, unreadable executable", info("(devel)"), exeFails, "devel"},
+		{"dirty, unreadable executable", info("", "vcs.revision", "abc123", "vcs.modified", "true"), exeFails, "abc123+dirty"},
+	} {
+		if got := resolveCodeVersion(c.read, c.hash); got != c.want {
+			t.Errorf("%s: version %q, want %q", c.name, got, c.want)
+		}
+	}
+	// The bug this guards: two different binaries built without VCS info
+	// (or from different dirty trees) must not share cache keys.
+	for _, read := range []func() (*debug.BuildInfo, bool){
+		info("(devel)"), info("(devel)", "vcs.revision", "abc123", "vcs.modified", "true"),
+	} {
+		if resolveCodeVersion(read, exe("e1")) == resolveCodeVersion(read, exe("e2")) {
+			t.Error("different executables resolve to the same code version")
+		}
+	}
+}
+
+func TestCodeVersionIsMemoized(t *testing.T) {
+	v := CodeVersion()
+	if v == "" || v == "devel" {
+		t.Fatalf("code version %q does not identify the test binary", v)
+	}
+	if CodeVersion() != v {
+		t.Error("code version changed between calls")
+	}
+	h, err := executableHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h) != 64 || strings.Trim(h, "0123456789abcdef") != "" {
+		t.Errorf("executable hash %q is not lowercase hex SHA-256", h)
 	}
 }

@@ -159,14 +159,15 @@ func (c *Core) IdleTime() time.Duration {
 
 // Sync settles in-progress accounting so task ExecTime values on this
 // core are exact as of Machine.Now.
-func (c *Core) Sync() { c.account() }
+func (c *Core) Sync() { c.account(nil) }
 
 // effSpeed returns the work retired per on-CPU nanosecond when t runs
 // on this core now: base clock × dynamic frequency × NUMA-locality
 // factor × SMT-contention factor × memory-bandwidth contention factor.
 // Kernel-noise theft (c.stolen) is applied separately — it reduces the
-// on-CPU time itself, not the retirement rate.
-func (c *Core) effSpeed(t *task.Task) float64 {
+// on-CPU time itself, not the retirement rate. dm, when not nil, shares
+// the memory domain's demand across one settle or re-arm pass.
+func (c *Core) effSpeed(t *task.Task, dm *demandMemo) float64 {
 	s := c.info.BaseSpeed * c.freq
 	if c.m.Topo.RemoteMemoryPenalty > 0 && t.HomeNode >= 0 && t.HomeNode != c.info.Node {
 		s /= 1 + c.m.Topo.RemoteMemoryPenalty*t.MemIntensity
@@ -179,19 +180,7 @@ func (c *Core) effSpeed(t *task.Task) float64 {
 	}
 	if t.MemIntensity > 0 && t.Cur.Kind == task.ExecCompute && c.memDomain >= 0 {
 		d := &c.m.Topo.MemDomains[c.memDomain]
-		demand := 0.0
-		for _, id := range c.memCores {
-			// Only computing tasks stress the memory path: a thread
-			// spinning at a barrier issues no memory traffic.
-			if o := c.m.Cores[id].cur; o != nil && o.Cur.Kind == task.ExecCompute {
-				demand += o.MemIntensity
-			} else if o == nil && int(id) == c.id {
-				// Called before c.cur is set (scheduleStop timing):
-				// count t itself.
-				demand += t.MemIntensity
-			}
-		}
-		if demand > d.Capacity {
+		if demand := dm.demand(c, t); demand > d.Capacity {
 			// The memory-bound fraction of the task slows to its fair
 			// share of the saturated path.
 			s *= 1 - t.MemIntensity + t.MemIntensity*d.Capacity/demand
@@ -200,10 +189,61 @@ func (c *Core) effSpeed(t *task.Task) float64 {
 	return s
 }
 
+// memDemand sums the memory-bandwidth demand on the core's domain: the
+// MemIntensity of every computing task in it, in memCores order. t is
+// the task the demand is wanted for; it stands in for the core's own
+// task when c.cur is not yet set (scheduleStop timing). The sum is
+// recomputed rather than kept as a running total, whose +/− updates
+// would drift in the last ulp.
+func (c *Core) memDemand(t *task.Task) float64 {
+	c.m.statsFor(c.id).DemandSums++
+	demand := 0.0
+	for _, id := range c.memCores {
+		// Only computing tasks stress the memory path: a thread
+		// spinning at a barrier issues no memory traffic.
+		if o := c.m.Cores[id].cur; o != nil && o.Cur.Kind == task.ExecCompute {
+			demand += o.MemIntensity
+		} else if o == nil && int(id) == c.id {
+			demand += t.MemIntensity
+		}
+	}
+	return demand
+}
+
+// demandMemo carries one memory domain's demand through a settle or
+// re-arm pass over a core's shareMates (and the core's own accounting
+// or stop computation beside it). No occupancy or exec kind changes
+// during such a pass, so every mate in the domain would sum the same
+// demand: the first mate that needs it sums it, the rest reuse the
+// value. It lives on the pass's stack, so concurrent shard workers
+// never share one.
+type demandMemo struct {
+	dom   int // memory domain the memo covers (-1: none)
+	valid bool
+	sum   float64
+}
+
+// newDemandMemo starts an empty memo for c's memory domain.
+func newDemandMemo(c *Core) demandMemo { return demandMemo{dom: c.memDomain} }
+
+// demand returns the memory demand t sees on core c: the memoised sum
+// when c is in the memo's domain and t is already c's task (so the
+// self stand-in of memDemand cannot apply), else a fresh sum. A nil
+// memo always sums afresh.
+func (dm *demandMemo) demand(c *Core, t *task.Task) float64 {
+	if dm == nil || c.memDomain != dm.dom || c.cur != t {
+		return c.memDemand(t)
+	}
+	if !dm.valid {
+		dm.sum, dm.valid = c.memDemand(t), true
+	}
+	return dm.sum
+}
+
 // account settles the current task's in-progress stint: charges exec
 // time, consumes migration warmup, retires work, burns spin budget and
-// check budget. Safe to call at any time.
-func (c *Core) account() {
+// check budget. Safe to call at any time. dm is as for effSpeed.
+func (c *Core) account(dm *demandMemo) {
 	t := c.cur
 	now := c.clk()
 	if t == nil || c.runStart >= now {
@@ -235,7 +275,7 @@ func (c *Core) account() {
 	}
 	switch t.Cur.Kind {
 	case task.ExecCompute:
-		retired := float64(rem) * c.effSpeed(t)
+		retired := float64(rem) * c.effSpeed(t, dm)
 		if retired > t.Cur.WorkLeft {
 			retired = t.Cur.WorkLeft
 		}
@@ -318,8 +358,9 @@ func (c *Core) begin(t *task.Task) {
 	c.stintStart = now
 	c.sliceEnd = now + int64(c.sched.Slice(t))
 	c.needResched = false
-	c.scheduleStop()
-	c.m.rearmShared(c)
+	dm := newDemandMemo(c)
+	c.scheduleStop(&dm)
+	c.m.rearmShared(c, &dm)
 }
 
 // requestStop forces the current task to re-enter onStop at the current
@@ -339,14 +380,15 @@ func (c *Core) refreshStop() {
 	if c.cur == nil {
 		return
 	}
-	c.account()
-	c.scheduleStop()
+	c.account(nil)
+	c.scheduleStop(nil)
 }
 
 // scheduleStop computes when the current task must next be looked at and
 // arms the stop event. A stop time of "never" (spinning alone on a core)
-// arms nothing; external events (enqueue, release) will intervene.
-func (c *Core) scheduleStop() {
+// arms nothing; external events (enqueue, release) will intervene. dm is
+// as for effSpeed.
+func (c *Core) scheduleStop(dm *demandMemo) {
 	t := c.cur
 	now := c.clk()
 	if c.needResched {
@@ -364,7 +406,7 @@ func (c *Core) scheduleStop() {
 	switch t.Cur.Kind {
 	case task.ExecCompute:
 		need := int64(t.WarmupLeft)
-		if eff := c.effSpeed(t); t.Cur.WorkLeft > 0 {
+		if eff := c.effSpeed(t, dm); t.Cur.WorkLeft > 0 {
 			need += int64(math.Ceil(t.Cur.WorkLeft / eff))
 		}
 		stop = c.wallAfter(need)
@@ -439,7 +481,8 @@ func (c *Core) armStop(at int64) {
 // releases and preemption requests, decides what the stop means from
 // task state, and either advances the program or rotates the queue.
 func (c *Core) onStop() {
-	c.account()
+	dm := newDemandMemo(c)
+	c.account(&dm)
 	c.needResched = false
 	t := c.cur
 	if t == nil {
@@ -450,7 +493,7 @@ func (c *Core) onStop() {
 	case task.ExecCompute:
 		// Within 1 ns of work at current speed counts as done (event
 		// times are integer ns; see scheduleStop's Ceil).
-		if t.WarmupLeft == 0 && t.Cur.WorkLeft < c.effSpeed(t) {
+		if t.WarmupLeft == 0 && t.Cur.WorkLeft < c.effSpeed(t, &dm) {
 			c.advanceCurrent()
 			return
 		}
@@ -558,12 +601,13 @@ func (c *Core) advanceCurrent() {
 		c.m.settleShared(c)
 	}
 	c.m.advance(t)
+	dm := newDemandMemo(c)
 	if c.cur == t {
 		// Still running (new compute or on-CPU wait): restart timing.
-		c.scheduleStop()
+		c.scheduleStop(&dm)
 	}
 	if memShift {
-		c.m.rearmShared(c)
+		c.m.rearmShared(c, &dm)
 	}
 }
 
@@ -582,5 +626,6 @@ func (c *Core) stopCurrent() {
 	c.cur = nil
 	c.m.events.Remove(c.stopEv)
 	c.needResched = false
-	c.m.rearmShared(c)
+	dm := newDemandMemo(c)
+	c.m.rearmShared(c, &dm)
 }

@@ -55,6 +55,9 @@ type Stats struct {
 	Wakeups int
 	// Events counts processed simulator events (a cost/health metric).
 	Events int
+	// DemandSums counts memory-domain demand sums, the O(domain size)
+	// step of the bandwidth contention model (a cost metric).
+	DemandSums int
 }
 
 // TotalMigrations sums migrations across movers.
@@ -567,7 +570,7 @@ func (m *Machine) SetCoreOnline(core int, online bool) {
 	// idle time.
 	var moved []*task.Task
 	if t := c.cur; t != nil {
-		c.account()
+		c.account(nil)
 		c.stopCurrent()
 		c.sched.Dequeue(t)
 		t.State = task.Runnable
@@ -648,10 +651,10 @@ func (m *Machine) SetCoreFreq(core int, f float64) {
 	if c.freq == f {
 		return
 	}
-	c.account()
+	c.account(nil)
 	c.freq = f
 	if c.cur != nil {
-		c.scheduleStop()
+		c.scheduleStop(nil)
 	}
 }
 
@@ -668,7 +671,7 @@ func (m *Machine) SetCoreStolen(core int, s float64) {
 	if c.stolen == s {
 		return
 	}
-	c.account()
+	c.account(nil)
 	// Fold the closing segment into the wall-clock steal integral
 	// (StolenWall) before the fraction changes.
 	now := m.clock(core)
@@ -676,7 +679,7 @@ func (m *Machine) SetCoreStolen(core int, s float64) {
 	c.stolenMark = now
 	c.stolen = s
 	if c.cur != nil {
-		c.scheduleStop()
+		c.scheduleStop(nil)
 	}
 }
 
@@ -939,7 +942,7 @@ func (m *Machine) MigrateNow(t *task.Task, dst int, label string) {
 		return
 	}
 	c := m.Cores[src]
-	c.account()
+	c.account(nil)
 	c.stopCurrent()
 	c.sched.Dequeue(t)
 	m.NoteMigration(t, dst, label)
@@ -1107,31 +1110,27 @@ func (m *Machine) offQueue(t *task.Task, st task.State) {
 	}
 }
 
-// sharedWith visits every other core whose effective speed depends on
-// this core's occupancy — SMT siblings and memory-domain mates
-// (precomputed per core at New).
-func (m *Machine) sharedWith(c *Core, fn func(o *Core)) {
-	for _, s := range c.shareMates {
-		fn(m.Cores[s])
-	}
-}
-
-// settleShared settles accounting on the dependent cores before this
+// settleShared settles accounting on the dependent cores — SMT siblings
+// and memory-domain mates, precomputed per core at New — before this
 // core's occupancy changes, so their in-progress stints are charged at
 // the contention level that actually held.
 func (m *Machine) settleShared(c *Core) {
-	m.sharedWith(c, func(o *Core) { o.account() })
+	dm := newDemandMemo(c)
+	for _, s := range c.shareMates {
+		m.Cores[s].account(&dm)
+	}
 }
 
 // rearmShared recomputes the dependent cores' stop events after this
 // core's occupancy changed: their tasks now retire work at a different
-// rate, so previously armed completion times are wrong.
-func (m *Machine) rearmShared(c *Core) {
-	m.sharedWith(c, func(o *Core) {
-		if o.cur != nil {
-			o.scheduleStop()
+// rate, so previously armed completion times are wrong. dm must have
+// been started after the change.
+func (m *Machine) rearmShared(c *Core, dm *demandMemo) {
+	for _, s := range c.shareMates {
+		if o := m.Cores[s]; o.cur != nil {
+			o.scheduleStop(dm)
 		}
-	})
+	}
 }
 
 // Sync settles in-progress accounting on every core so task ExecTime
@@ -1143,7 +1142,7 @@ func (m *Machine) Sync() {
 		panic("sim: machine-wide Sync inside a parallel shard window; use SyncCores")
 	}
 	for _, c := range m.Cores {
-		c.account()
+		c.account(nil)
 	}
 }
 
@@ -1152,7 +1151,7 @@ func (m *Machine) Sync() {
 // inside a parallel window without touching other shards.
 func (m *Machine) SyncCores(set cpuset.Set) {
 	set.ForEach(func(id int) bool {
-		m.Cores[id].account()
+		m.Cores[id].account(nil)
 		return true
 	})
 }
@@ -1309,6 +1308,7 @@ func (m *Machine) runWindow(horizon int64) {
 		m.Stats.Events += sh.stats.Events
 		m.Stats.ContextSwitches += sh.stats.ContextSwitches
 		m.Stats.Wakeups += sh.stats.Wakeups
+		m.Stats.DemandSums += sh.stats.DemandSums
 		for label, n := range sh.stats.Migrations {
 			m.Stats.Migrations[label] += n
 		}

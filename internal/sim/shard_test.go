@@ -26,9 +26,9 @@ func shardCfg(seed uint64, shards int, par bool) sim.Config {
 // fingerprint reduces a finished machine to every externally observable
 // quantity: per-task accounting, per-core utilisation, machine stats.
 func fingerprint(m *sim.Machine) string {
-	s := fmt.Sprintf("now=%d ev=%d cs=%d wk=%d mig=%d live=%d\n",
+	s := fmt.Sprintf("now=%d ev=%d cs=%d wk=%d mig=%d ds=%d live=%d\n",
 		m.Now(), m.Stats.Events, m.Stats.ContextSwitches, m.Stats.Wakeups,
-		m.Stats.TotalMigrations(), m.LiveTasks())
+		m.Stats.TotalMigrations(), m.Stats.DemandSums, m.LiveTasks())
 	for _, t := range m.Tasks() {
 		s += fmt.Sprintf("task %d %s exec=%d work=%.9g mig=%d fin=%d core=%d st=%v\n",
 			t.ID, t.Name, t.ExecTime, t.WorkDone, t.Migrations, t.FinishedAt, t.CoreID, t.State)
