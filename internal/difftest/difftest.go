@@ -20,9 +20,11 @@
 // {1, 2, 4, sockets} × Parallelism {1, 8} (diff_test.go), and a seeded
 // property-based generator drawing random topologies, workloads and
 // perturbation configs that cross-checks the engines on machine-state
-// fingerprints and the physical invariant suite (prop_test.go). A third,
-// golden_test.go, compares fingerprints across commits instead: it pins
-// committed digests of contention-heavy runs.
+// fingerprints and the physical invariant suite (prop_test.go). Two
+// more compare across commits instead of across engines: golden_test.go
+// pins digests of contention-heavy runs, and registry_golden_test.go
+// pins every registry experiment's tables (plus a few trace and metrics
+// streams) against testdata/golden.txt.
 package difftest
 
 import (
