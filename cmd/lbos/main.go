@@ -237,6 +237,10 @@ func run(args []string) {
 		Perturb: pcfg, Predict: *predictOn,
 		Shards: *shards, ShardParallel: *shardPar,
 	}
+	if err := ctx.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {

@@ -31,8 +31,8 @@ type Context struct {
 	// deterministic function of (Seed, k, r).
 	Seed uint64
 	// Parallelism is the number of worker goroutines the experiment
-	// Runner uses for the (configuration × repetition) grid (0 or
-	// negative = GOMAXPROCS). Each cell is an isolated single-threaded
+	// Runner uses for the (configuration × repetition) grid (0 =
+	// GOMAXPROCS). Each cell is an isolated single-threaded
 	// simulation seeded by seedFor, and results are aggregated in
 	// submission order, so rendered tables are bit-identical at every
 	// parallelism level.
@@ -44,24 +44,23 @@ type Context struct {
 	FailFast bool
 	// Log receives progress lines (nil discards).
 	Log io.Writer
-	// Trace, when set, collects every Submit/Repeat cell's scheduling
-	// events into one Chrome trace stream. Cells record into private
-	// rings and are flushed in submission order, so the trace bytes are
-	// identical at every Parallelism (SubmitFunc custom cells are not
-	// traced — they build their own machines).
+	// Trace, when set, collects every cell's scheduling events into one
+	// Chrome trace stream. Cells record into private rings and are
+	// flushed in submission order, so the trace bytes are identical at
+	// every Parallelism.
 	Trace *TraceSink
-	// Metrics, when set, aggregates every Submit/Repeat cell's metrics
-	// registry, merged in submission order.
+	// Metrics, when set, aggregates every cell's metrics registry,
+	// merged in submission order.
 	Metrics *metrics.Aggregate
 	// Perturb, when active, composes deterministic fault injection
 	// (kernel noise, hotplug, frequency drift, interrupt storms) onto
-	// every Submit/Repeat cell that does not set its own perturbation.
+	// every cell that does not set its own perturbation.
 	// The injector draws from each cell's seeded RNG, so perturbed
 	// tables remain bit-identical at every Parallelism.
 	Perturb perturb.Config
 	// Predict turns on the speed balancer's anticipatory mode
 	// (speedbal.Config.Predict with predict.DefaultConfig) in every
-	// Submit/Repeat cell that does not configure prediction itself —
+	// cell that does not configure prediction itself —
 	// the -predict flag of `lbos run`. Cells not using the speed
 	// balancer are unaffected.
 	Predict bool
@@ -98,6 +97,26 @@ func DefaultContext() *Context {
 // QuickContext returns a scaled-down context for tests and benches.
 func QuickContext() *Context {
 	return &Context{Reps: 3, Scale: 8, Seed: 20100109}
+}
+
+// Validate checks the run dials every entry point shares (`lbos run`
+// flags, lbosd specs): Reps and Scale must be at least 1, Parallelism
+// and Shards at least 0.
+func (c *Context) Validate() error {
+	for _, d := range []struct {
+		name     string
+		val, min int
+	}{
+		{"reps", c.Reps, 1},
+		{"scale", c.Scale, 1},
+		{"parallel", c.Parallelism, 0},
+		{"shards", c.Shards, 0},
+	} {
+		if d.val < d.min {
+			return fmt.Errorf("exp: %s %d out of range (want ≥ %d)", d.name, d.val, d.min)
+		}
+	}
+	return nil
 }
 
 // Logf writes a progress line. It is safe for concurrent use: lines

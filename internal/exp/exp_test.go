@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/spmd"
 	"repro/internal/topo"
 )
@@ -122,7 +124,8 @@ func TestScaleSpec(t *testing.T) {
 // Run executes a minimal measurement for every strategy without error
 // and with a sane result.
 func TestRunAllStrategies(t *testing.T) {
-	for _, st := range []Strategy{StratPinned, StratLoad, StratSpeed, StratDWRR, StratULE} {
+	for _, st := range []Strategy{StratPinned, StratLoad, StratSpeed, StratDWRR, StratULE,
+		StratCFS, StratEQUI, StratSpeedOnly} {
 		r := Run(RunOpts{
 			Topo:     func() *topo.Topology { return topo.SMP(2) },
 			Strategy: st,
@@ -164,17 +167,30 @@ func TestRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// Every experiment runs end-to-end at a tiny scale and yields at least
-// one non-empty table. This is the integration smoke test for the whole
-// harness; skipped in -short mode.
+// Every experiment runs end-to-end at a tiny scale and renders
+// non-empty tables (the integration smoke test for the whole harness;
+// skipped in -short mode), and every one
+// that simulates explains itself: a non-empty trace and at least one
+// metrics table. Only the analytic model (fig1) and the topology
+// listing (table1) submit no cells. The bakeoffs and ext-measure used
+// to wire their own machines outside the Runner and wrote an empty
+// trace with no metrics; table3 reused fig4's cells from a process-wide
+// cache and traced nothing after it.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in short mode")
 	}
-	ctx := &Context{Reps: 1, Scale: 32, Seed: 99}
+	var empty bytes.Buffer
+	if err := NewTraceSink(&empty, 0).Close(); err != nil {
+		t.Fatal(err)
+	}
+	noCells := map[string]bool{"fig1": true, "table1": true}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			var w countWriter
+			ctx := &Context{Reps: 1, Scale: 32, Seed: 99,
+				Trace: NewTraceSink(&w, 0), Metrics: metrics.NewAggregate()}
 			tables := e.Run(ctx)
 			if len(tables) == 0 {
 				t.Fatal("no tables")
@@ -184,6 +200,28 @@ func TestAllExperimentsSmoke(t *testing.T) {
 					t.Errorf("table %q empty", tb.Title)
 				}
 			}
+			if err := ctx.Trace.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cells, mtables := ctx.Trace.Cells, len(MetricsTables(ctx.Metrics.Snapshot()))
+			switch {
+			case noCells[e.ID]:
+				if cells != 0 || mtables != 0 {
+					t.Errorf("listed as cell-free but traced %d cells and %d metrics tables", cells, mtables)
+				}
+			case cells == 0 || w.n <= empty.Len():
+				t.Errorf("empty trace (%d cells, %d bytes)", cells, w.n)
+			case mtables == 0:
+				t.Error("no metrics tables")
+			}
 		})
 	}
+}
+
+// countWriter counts the bytes written through it.
+type countWriter struct{ n int }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }

@@ -14,12 +14,8 @@ package exp
 import (
 	"fmt"
 
-	"time"
-
-	"repro/internal/cfs"
 	"repro/internal/cpuset"
 	"repro/internal/npb"
-	"repro/internal/sim"
 	"repro/internal/speedbal"
 	"repro/internal/spmd"
 	"repro/internal/stats"
@@ -111,27 +107,27 @@ func runExtMeasure(ctx *Context) []*Table {
 		Title:   "Memory-bound app clumped on 2 of 4 Tigerton sockets (managed set spans all 16 cores)",
 		Columns: []string{"measure", "elapsed s", "migrations"},
 	}
+	// Clumped start: the speed balancer pins the 8 threads round-robin
+	// over its 16-core managed set, which fills cores 0–7 (sockets 0 and
+	// 1) and leaves two sockets free. With no OS balancer underneath,
+	// the measure under test decides whether it discovers them.
 	spec := ScaleSpec(ctx, spmd.Spec{
 		Name: "mem", Threads: 8, Iterations: 1, WorkPerIteration: 4e9,
 		Model: spmd.UPC(), RSSBytes: 1 << 20, MemIntensity: 0.9,
-		Affinity: cpuset.Range(0, 8),
+		Affinity: cpuset.All(16),
 	})
 	run := NewRunner(ctx)
 	config := 8100
 	for _, meas := range []speedbal.Measure{speedbal.MeasureCPUShare, speedbal.MeasureWorkRate} {
-		meas := meas // freeze the cell's input at submission (slotsafety)
 		el, mig := &stats.Sample{}, &stats.Sample{}
-		// The run needs custom wiring (clumped start, machine-wide
-		// managed set), so submit a custom run function per repetition.
-		for rep := 0; rep < ctx.Reps; rep++ {
-			seed := seedFor(ctx.Seed, config, rep)
-			run.SubmitFunc(fmt.Sprintf("ext-measure %s rep %d", meas, rep),
-				func() RunResult { return runClumpedMeasure(spec, meas, seed) },
-				func(res RunResult) {
-					el.Add(res.Elapsed.Seconds())
-					mig.Add(float64(res.SpeedbalMigrations))
-				})
-		}
+		cfg := speedbal.DefaultConfig()
+		cfg.Measure = meas
+		run.Repeat(config, RunOpts{
+			Topo: topo.Tigerton, Strategy: StratSpeedOnly, Spec: spec, SpeedCfg: &cfg,
+		}, func(_ int, res RunResult) {
+			el.Add(res.Elapsed.Seconds())
+			mig.Add(float64(res.SpeedbalMigrations))
+		})
 		config++
 		run.Then(func() {
 			t.AddRow(meas.String(), el.Mean(), mig.Mean())
@@ -185,32 +181,4 @@ func runExtSwap(ctx *Context) []*Table {
 	run.Wait()
 	t.Note(fmt.Sprintf("per-thread work %.3gs; ideal elapsed = 8·W/10", spec.WorkPerIteration/1e9))
 	return []*Table{t}
-}
-
-// runClumpedMeasure starts the app pinned on its (restricted) affinity,
-// then widens the managed set to the whole machine — the measure under
-// test decides whether the balancer discovers the free sockets.
-func runClumpedMeasure(spec spmd.Spec, meas speedbal.Measure, seed uint64) RunResult {
-	m := sim.New(topo.Tigerton(), sim.Config{Seed: seed, NewScheduler: cfs.Factory()})
-	app := spmd.Build(m, spec)
-	app.OnDone(func(*spmd.App) { m.Stop() })
-	app.StartPinned()
-	for _, tk := range app.Tasks {
-		tk.Affinity = m.Topo.AllCores()
-	}
-	cfg := speedbal.DefaultConfig()
-	cfg.Measure = meas
-	sb := speedbal.New(cfg)
-	sb.Manage(m, app.Tasks, m.Topo.AllCores())
-	m.AddActor(sb)
-	m.Run(int64(2000 * time.Second))
-	return RunResult{
-		Elapsed:            app.Elapsed(),
-		Speedup:            app.Speedup(),
-		SpeedbalMigrations: sb.Migrations,
-		Stats:              m.Stats,
-		App:                app,
-		Machine:            m,
-		Truncated:          !app.Done(),
-	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/openload"
 	"repro/internal/stats"
+	"repro/internal/topo"
 )
 
 // DWRR's round advancement used to require the active queue to empty —
@@ -18,26 +20,17 @@ func TestDWRROpenTailBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second open-system cells skipped in short mode")
 	}
-	var dwrr openPolicy
-	for _, p := range openPolicies {
-		if p.dwrr {
-			dwrr = p
-		}
-	}
-	if !dwrr.dwrr {
-		t.Fatal("no DWRR policy in openPolicies")
-	}
 	soj := &stats.Sample{}
 	unfin := 0
 	for rep := 0; rep < 4; rep++ {
-		o := runOpenCell(dwrr, openCellOpts{
-			rho: 0.85, horizon: 8 * time.Second,
-			seed: seedFor(20100109, 900, rep),
+		res := Run(RunOpts{
+			Topo: topo.Tigerton, Strategy: StratDWRR, Seed: seedFor(20100109, 900, rep),
+			Open: &openload.Config{Rho: 0.85, Horizon: 8 * time.Second},
 		})
-		for _, v := range o.sojournsMs {
-			soj.Add(v)
+		for _, r := range res.Jobs {
+			soj.Add(float64(r.Sojourn) / 1e6)
 		}
-		unfin += o.unfinished
+		unfin += res.Unfinished
 	}
 	if soj.N() < 1000 {
 		t.Fatalf("only %d jobs completed — the cell is not exercising the tail", soj.N())
@@ -67,23 +60,23 @@ func TestSpeedLowRhoP95NotWorst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second open-system cells skipped in short mode")
 	}
-	p95 := make(map[string]float64, len(openPolicies))
-	for _, p := range openPolicies {
+	p95 := make(map[string]float64, len(openStrategies))
+	for _, s := range openStrategies {
 		soj := &stats.Sample{}
 		for rep := 0; rep < 3; rep++ {
-			o := runOpenCell(p, openCellOpts{
-				rho: 0.5, horizon: 4 * time.Second,
-				seed: seedFor(20100109, 910, rep),
+			res := Run(RunOpts{
+				Topo: topo.Tigerton, Strategy: s, Seed: seedFor(20100109, 910, rep),
+				Open: &openload.Config{Rho: 0.5, Horizon: 4 * time.Second},
 			})
-			for _, v := range o.sojournsMs {
-				soj.Add(v)
+			for _, r := range res.Jobs {
+				soj.Add(float64(r.Sojourn) / 1e6)
 			}
 		}
 		if soj.N() < 500 {
-			t.Fatalf("%s: only %d jobs completed", p.name, soj.N())
+			t.Fatalf("%s: only %d jobs completed", s, soj.N())
 		}
-		p95[p.name] = soj.Percentile(95)
-		t.Logf("%-7s p95 = %.1fms over %d jobs", p.name, p95[p.name], soj.N())
+		p95[string(s)] = soj.Percentile(95)
+		t.Logf("%-7s p95 = %.1fms over %d jobs", s, p95[string(s)], soj.N())
 	}
 	speed := p95[string(StratSpeed)]
 	worst := 0.0

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"repro/internal/cpuset"
+	"repro/internal/openload"
 	"repro/internal/perturb"
 	"repro/internal/stats"
+	"repro/internal/topo"
 )
 
 func init() {
@@ -47,10 +49,7 @@ var predictFamilies = []struct {
 // response times across repetitions.
 func runPredictBakeoff(ctx *Context) []*Table {
 	const rho = 0.60
-	horizon := time.Duration(int64(4*time.Second) / int64(ctx.Scale))
-	if horizon < 250*time.Millisecond {
-		horizon = 250 * time.Millisecond
-	}
+	horizon := openHorizon(ctx, 4*time.Second)
 	tb := &Table{
 		Title: "Predictive vs reactive speed balancing (SPEED, open arrivals, rho=0.60, Tigerton)",
 		Columns: []string{"family", "mode", "jobs", "unfin",
@@ -59,42 +58,34 @@ func runPredictBakeoff(ctx *Context) []*Table {
 	tb.Note("pooled over %d reps; arrivals for %v per cell, then a drain window", ctx.Reps, horizon)
 	tb.Note("pred pulls = anticipatory migrations (candidate above realized T_s); hit %% = slowest-core predictions confirmed next interval")
 
-	speed := openPolicies[0] // SPEED: linux + speed balancer
+	// Disturbance family and mode are this experiment's own dials:
+	// -perturb and -predict must not disturb the clean rows or arm
+	// prediction in the reactive ones.
+	defer func(p perturb.Config, pred bool) { ctx.Perturb, ctx.Predict = p, pred }(ctx.Perturb, ctx.Predict)
+	ctx.Perturb, ctx.Predict = perturb.Config{}, false
 	rn := NewRunner(ctx)
 	for fi, fam := range predictFamilies {
 		for _, predictive := range []bool{false, true} {
-			// Both modes share the family's config index, so each rep's
-			// arrival stream and disturbance schedule are identical
-			// between reactive and predictive: the comparison is paired.
-			cfgIdx := fi
 			soj := &stats.Sample{}
 			jobs, unfin := new(int), new(int)
 			pulls, hits, misses := new(int), new(int), new(int)
-			for rep := 0; rep < ctx.Reps; rep++ {
-				fam, predictive := fam, predictive
-				seed := seedFor(ctx.Seed, cfgIdx, rep)
-				rn.SubmitFunc(
-					fmt.Sprintf("predict %s pred=%v rep %d", fam.name, predictive, rep),
-					func() RunResult {
-						return RunResult{Out: runOpenCell(speed, openCellOpts{
-							rho: rho, horizon: horizon, seed: seed,
-							shards: ctx.Shards, shardPar: ctx.ShardParallel,
-							perturb: fam.cfg, predict: predictive,
-						})}
-					},
-					func(res RunResult) {
-						o := res.Out.(openCellOut)
-						*jobs += o.admitted
-						*unfin += o.unfinished
-						*pulls += o.predictPulls
-						*hits += o.predictHits
-						*misses += o.predictMisses
-						for _, v := range o.sojournsMs {
-							soj.Add(v)
-						}
-					})
-			}
-			fam, predictive := fam, predictive
+			// Both modes share the family's config index, so each rep's
+			// arrival stream and disturbance schedule are identical
+			// between reactive and predictive: the comparison is paired.
+			rn.Repeat(fi, RunOpts{
+				Topo: topo.Tigerton, Strategy: StratSpeed,
+				Open:    &openload.Config{Rho: rho, Horizon: horizon},
+				Perturb: fam.cfg, Predict: predictive,
+			}, func(_ int, res RunResult) {
+				*jobs += res.Admitted
+				*unfin += res.Unfinished
+				*pulls += res.PredictPulls
+				*hits += res.PredictHits
+				*misses += res.PredictMisses
+				for _, r := range res.Jobs {
+					soj.Add(float64(r.Sojourn) / 1e6)
+				}
+			})
 			rn.Then(func() {
 				mode := "reactive"
 				if predictive {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dwrr"
 	"repro/internal/linuxlb"
 	"repro/internal/metrics"
+	"repro/internal/openload"
 	"repro/internal/perturb"
 	"repro/internal/predict"
 	"repro/internal/sim"
@@ -37,6 +38,17 @@ const (
 	StratDWRR Strategy = "DWRR"
 	// StratULE is the FreeBSD 7.2 ULE push/pull balancer.
 	StratULE Strategy = "FreeBSD"
+	// StratCFS is per-core CFS with no balancer at all: fork placement
+	// only.
+	StratCFS Strategy = "CFS"
+	// StratEQUI is CFS with no balancer and every thread pinned where it
+	// is admitted: round-robin at start for an app, a fixed round-robin
+	// core partition per job for open arrivals (EQUI-style static
+	// allocation).
+	StratEQUI Strategy = "EQUI"
+	// StratSpeedOnly is the speed balancer alone over per-core CFS, with
+	// no OS balancer underneath.
+	StratSpeedOnly Strategy = "SPEED-only"
 )
 
 // RunOpts describes one measurement.
@@ -47,6 +59,13 @@ type RunOpts struct {
 	Strategy Strategy
 	// Spec is the application (threads, work, barrier model, affinity).
 	Spec spmd.Spec
+	// Open, when non-nil, replaces the application with a seeded open
+	// arrival stream: jobs arrive for Open.Horizon, then the run drains
+	// for two more horizons plus 2 s (unless Limit is set). Run sets
+	// Open.FixedAlloc exactly for StratEQUI, which pins each job onto a
+	// fixed core partition; the speed balancer adopts the jobs by
+	// rescanning for openload.Group.
+	Open *openload.Config
 	// Seed drives all randomness in the run.
 	Seed uint64
 	// SpeedCfg overrides the speed balancer configuration (ablations).
@@ -63,7 +82,8 @@ type RunOpts struct {
 	// Predict enables the speed balancer's anticipatory mode with
 	// predict.DefaultConfig when the cell's SpeedCfg does not already
 	// configure prediction. The Runner copies Context.Predict here. Only
-	// StratSpeed runs are affected.
+	// runs with the speed balancer (StratSpeed, StratSpeedOnly) are
+	// affected.
 	Predict bool
 	// Shards and ShardParallel select the sharded simulator engine
 	// (sim.Config fields of the same names). The Runner copies the
@@ -83,7 +103,8 @@ type RunOpts struct {
 
 // RunResult is the outcome of one measurement.
 type RunResult struct {
-	// Elapsed is the application's wall time.
+	// Elapsed is the application's wall time (an open run's simulated
+	// time reached).
 	Elapsed time.Duration
 	// Speedup is serial work / elapsed.
 	Speedup float64
@@ -98,44 +119,81 @@ type RunResult struct {
 	Stats sim.Stats
 	// App is the finished application (thread exec times etc.).
 	App *spmd.App
-	// Machine allows further inspection.
+	// Machine allows further inspection (app runs only).
 	Machine *sim.Machine
 	// Truncated reports that the simulated time limit expired before the
 	// application finished (Elapsed is then the limit and Speedup 0).
 	Truncated bool
-	// Out carries a custom cell's payload when the fields above don't
-	// fit (SubmitFunc cells); aggregate it in the ordered result
-	// callback, never through shared state in the cell function.
-	Out any
+	// Jobs lists an open run's completed jobs in completion order, and
+	// Admitted and Unfinished count its jobs (all zero for an app run).
+	// An open run's result holds no App or Machine, so a grid's finished
+	// open cells do not keep their machines live until delivery.
+	Jobs                 []openload.Record
+	Admitted, Unfinished int
 }
 
-// Run executes one measurement.
-func Run(o RunOpts) RunResult {
-	tp := o.Topo()
-	cfg := sim.Config{Seed: o.Seed, Tracer: o.Tracer, Metrics: o.Metrics,
-		Shards: o.Shards, ShardParallel: o.ShardParallel}
+// NewMachine builds the machine a strategy runs on: the DWRR scheduler
+// for StratDWRR and per-core CFS otherwise, plus the strategy's OS
+// balancer (Linux for PINNED, LOAD and SPEED, ULE for FreeBSD, none for
+// the others). linux overrides the Linux balancer's configuration (nil
+// = defaults). The DWRR global state is returned for its steal count
+// (nil for the other strategies).
+func NewMachine(tp *topo.Topology, s Strategy, cfg sim.Config, linux *linuxlb.Config) (*sim.Machine, *dwrr.Global) {
 	var dwrrG *dwrr.Global
-	if o.Strategy == StratDWRR {
+	if s == StratDWRR {
 		cfg.NewScheduler, dwrrG = dwrr.NewFactory(dwrr.DefaultConfig())
 	} else {
 		cfg.NewScheduler = cfs.Factory()
 	}
 	m := sim.New(tp, cfg)
-
-	var sb *speedbal.Balancer
-	switch o.Strategy {
+	switch s {
 	case StratPinned, StratLoad, StratSpeed:
 		lcfg := linuxlb.DefaultConfig()
-		if o.LinuxCfg != nil {
-			lcfg = *o.LinuxCfg
+		if linux != nil {
+			lcfg = *linux
 		}
 		m.AddActor(linuxlb.New(lcfg))
 	case StratULE:
 		m.AddActor(ule.Default())
-	case StratDWRR:
-		// DWRR balances via round stealing inside the scheduler.
+	case StratDWRR, StratCFS, StratEQUI, StratSpeedOnly:
+		// DWRR balances via round stealing inside the scheduler; the
+		// others run without an OS balancer.
 	default:
-		panic(fmt.Sprintf("exp: unknown strategy %q", o.Strategy))
+		panic(fmt.Sprintf("exp: unknown strategy %q", s))
+	}
+	return m, dwrrG
+}
+
+// speedConfig resolves the speed balancer configuration of a run.
+func (o *RunOpts) speedConfig() speedbal.Config {
+	scfg := speedbal.DefaultConfig()
+	if o.SpeedCfg != nil {
+		scfg = *o.SpeedCfg
+	}
+	if o.Predict && !scfg.Predict.Enabled {
+		scfg.Predict = predict.DefaultConfig()
+	}
+	if o.Open != nil && scfg.RescanGroup == "" {
+		scfg.RescanGroup = openload.Group
+	}
+	return scfg
+}
+
+// Run executes one measurement.
+func Run(o RunOpts) RunResult {
+	m, dwrrG := NewMachine(o.Topo(), o.Strategy, sim.Config{Seed: o.Seed,
+		Tracer: o.Tracer, Metrics: o.Metrics,
+		Shards: o.Shards, ShardParallel: o.ShardParallel}, o.LinuxCfg)
+
+	var sb *speedbal.Balancer
+	if o.Strategy == StratSpeed || o.Strategy == StratSpeedOnly {
+		sb = speedbal.New(o.speedConfig())
+		if o.Open != nil {
+			// Open arrivals hand the balancer no threads up front: it
+			// adopts jobs by rescan, so it starts right after the OS
+			// balancer, ahead of the injector and the generator.
+			m.AddActor(sb)
+		}
 	}
 
 	if o.Perturb.Active() {
@@ -148,38 +206,47 @@ func Run(o RunOpts) RunResult {
 		o.Setup(m)
 	}
 
-	app := spmd.Build(m, o.Spec)
-	// The stop-on-completion hook is a machine-global effect that can
-	// fire from whichever shard retires the app's last task, so this run
-	// must never open a parallel window (the sharded queue and its
-	// deterministic merge still apply). Long-running workloads that want
-	// windowed execution drive the machine directly (sim.Machine.Run).
-	m.BlockWindows()
-	app.OnDone(func(*spmd.App) { m.Stop() })
-	switch o.Strategy {
-	case StratPinned:
-		app.StartPinned()
-	case StratSpeed:
-		scfg := speedbal.DefaultConfig()
-		if o.SpeedCfg != nil {
-			scfg = *o.SpeedCfg
+	limit := o.Limit
+	var app *spmd.App
+	var gen *openload.Gen
+	if o.Open != nil {
+		gcfg := *o.Open
+		gcfg.FixedAlloc = o.Strategy == StratEQUI
+		gen = openload.New(gcfg)
+		m.AddActor(gen)
+		if limit == 0 {
+			// Past the horizon the backlog drains: a stable system
+			// (ρ < 1) empties well inside 2 extra horizons + 2 s, and
+			// whatever does not is reported as unfinished rather than
+			// silently truncated out of the percentiles.
+			limit = 3*gcfg.Horizon + 2*time.Second
 		}
-		if o.Predict && !scfg.Predict.Enabled {
-			scfg.Predict = predict.DefaultConfig()
+	} else {
+		app = spmd.Build(m, o.Spec)
+		// The stop-on-completion hook is a machine-global effect that can
+		// fire from whichever shard retires the app's last task, so this
+		// run must never open a parallel window (the sharded queue and its
+		// deterministic merge still apply). Long-running workloads that
+		// want windowed execution drive the machine directly
+		// (sim.Machine.Run).
+		m.BlockWindows()
+		app.OnDone(func(*spmd.App) { m.Stop() })
+		switch {
+		case o.Strategy == StratPinned || o.Strategy == StratEQUI:
+			app.StartPinned()
+		case sb != nil:
+			sb.Launch(m, app)
+		default:
+			app.Start()
 		}
-		sb = speedbal.New(scfg)
-		sb.Launch(m, app)
-	default:
-		app.Start()
 	}
 
-	limit := o.Limit
 	if limit == 0 {
 		limit = 2000 * time.Second
 	}
 	m.Run(int64(limit))
 
-	if o.Metrics != nil {
+	if reg := m.Metrics(); reg != nil {
 		m.Sync()
 		elapsed := m.Now()
 		for _, c := range m.Cores {
@@ -187,23 +254,14 @@ func Run(o RunOpts) RunResult {
 			if elapsed > 0 {
 				frac = float64(c.BusyTime) / float64(elapsed)
 			}
-			o.Metrics.Gauge(fmt.Sprintf("sim.core%02d.busy_frac", c.ID())).Set(frac)
+			reg.Gauge(fmt.Sprintf("sim.core%02d.busy_frac", c.ID())).Set(frac)
 		}
-		o.Metrics.Counter("sim.context_switches").Add(int64(m.Stats.ContextSwitches))
-		o.Metrics.Counter("sim.wakeups").Add(int64(m.Stats.Wakeups))
-		o.Metrics.Counter("sim.events").Add(int64(m.Stats.Events))
+		reg.Counter("sim.context_switches").Add(int64(m.Stats.ContextSwitches))
+		reg.Counter("sim.wakeups").Add(int64(m.Stats.Wakeups))
+		reg.Counter("sim.events").Add(int64(m.Stats.Events))
 	}
 
-	res := RunResult{
-		Elapsed: app.Elapsed(),
-		Speedup: app.Speedup(),
-		Stats:   m.Stats,
-		App:     app,
-		Machine: m,
-	}
-	for _, t := range app.Tasks {
-		res.AppMigrations += t.Migrations
-	}
+	res := RunResult{Stats: m.Stats}
 	if sb != nil {
 		res.SpeedbalMigrations = sb.Migrations
 		res.PredictPulls = sb.PredictPulls
@@ -212,6 +270,17 @@ func Run(o RunOpts) RunResult {
 	}
 	if dwrrG != nil {
 		res.Stats.Migrations["dwrr"] = dwrrG.Steals()
+	}
+	if gen != nil {
+		res.Elapsed = time.Duration(m.Now())
+		res.Jobs, res.Admitted, res.Unfinished = gen.Records, gen.Admitted, gen.Unfinished()
+		return res
+	}
+	res.App, res.Machine = app, m
+	res.Elapsed = app.Elapsed()
+	res.Speedup = app.Speedup()
+	for _, t := range app.Tasks {
+		res.AppMigrations += t.Migrations
 	}
 	if !app.Done() {
 		// Surface truncation loudly: experiments must size Limit.

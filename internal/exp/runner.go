@@ -19,13 +19,14 @@ var ErrInterrupted = errors.New("exp: run interrupted")
 // Runner fans an experiment's (configuration × repetition) grid out over
 // a worker pool while keeping the output bit-identical to a serial run.
 //
-// Experiments submit independent measurement cells (Submit / SubmitFunc /
-// Repeat) interleaved with ordered hooks (Then), then call Wait. Cells
-// execute concurrently on Context.Parallelism workers; each result lands
-// in the slot indexed by its submission position — never in channel
-// completion order — and Wait delivers callbacks strictly in submission
-// order, streaming: a cell's callback fires as soon as it and every cell
-// before it have completed, even while later cells are still running.
+// Experiments submit independent measurement cells (Submit / Repeat),
+// each a RunOpts executed by Run, interleaved with ordered hooks (Then),
+// then call Wait. Cells execute concurrently on Context.Parallelism
+// workers; each result lands in the slot indexed by its submission
+// position — never in channel completion order — and Wait delivers
+// callbacks strictly in submission order, streaming: a cell's callback
+// fires as soon as it and every cell before it have completed, even
+// while later cells are still running.
 // Because every cell is an isolated single-threaded simulation whose
 // randomness flows from its own seed, and because aggregation order is
 // the submission order, rendered tables are bit-identical at every
@@ -51,10 +52,11 @@ type Runner struct {
 }
 
 // runnerItem is one entry of the ordered submission stream: either a
-// measurement cell (run != nil) or a deterministic hook (then != nil).
+// measurement cell (opts, run by Run) or a deterministic hook
+// (then != nil).
 type runnerItem struct {
 	label string
-	run   func() RunResult
+	opts  RunOpts
 	fn    func(RunResult)
 	then  func()
 
@@ -83,15 +85,6 @@ func (r *Runner) Submit(o RunOpts, fn func(RunResult)) {
 	r.submitRun(fmt.Sprintf("cell %d", len(r.items)), o, fn)
 }
 
-// SubmitFunc queues an arbitrary measurement function for runs that need
-// custom machine wiring; label identifies the cell in failure reports.
-// Custom cells are not traced (the run function owns its machine
-// configuration), which keeps the trace stream deterministic: they
-// contribute no events at any parallelism.
-func (r *Runner) SubmitFunc(label string, run func() RunResult, fn func(RunResult)) {
-	r.items = append(r.items, runnerItem{label: label, run: run, fn: fn})
-}
-
 // submitRun queues a RunOpts-based cell, injecting the cell-private
 // trace ring and metrics registry when the context collects them.
 func (r *Runner) submitRun(label string, o RunOpts, fn func(RunResult)) {
@@ -118,7 +111,7 @@ func (r *Runner) submitRun(label string, o RunOpts, fn func(RunResult)) {
 		it.reg = metrics.NewRegistry()
 		o.Metrics = it.reg
 	}
-	it.run = func() RunResult { return Run(o) }
+	it.opts = o
 	r.items = append(r.items, it)
 }
 
@@ -163,7 +156,7 @@ func (r *Runner) Wait() {
 	items := r.items
 	cells := make([]int, 0, len(items))
 	for i := range items {
-		if items[i].run != nil {
+		if items[i].then == nil {
 			cells = append(cells, i)
 		}
 	}
@@ -218,6 +211,9 @@ func (r *Runner) Wait() {
 		if it.reg != nil {
 			r.ctx.Metrics.Add(it.reg.Snapshot())
 		}
+		// Drop the delivered result and buffers now rather than when
+		// Wait returns, so a long grid holds only its undelivered cells.
+		*it = runnerItem{}
 		delivered++
 		if d := delivered * 10 / len(cells); d != lastDecile && len(cells) > 1 {
 			lastDecile = d
@@ -273,7 +269,7 @@ func (r *Runner) runCell(it *runnerItem) {
 		}
 		finish()
 	}()
-	it.res = it.run()
+	it.res = Run(it.opts)
 	if it.res.Truncated && r.ctx.FailFast {
 		r.Cancel(fmt.Errorf("exp: %s overran its simulated time limit (elapsed %v)", it.label, it.res.Elapsed))
 	}

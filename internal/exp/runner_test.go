@@ -9,9 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/spmd"
 	"repro/internal/topo"
 )
+
+// panicOpts is a cell whose machine setup panics with msg.
+func panicOpts(msg string) RunOpts {
+	o := runnerOpts()
+	o.Setup = func(*sim.Machine) { panic(msg) }
+	return o
+}
 
 func runnerOpts() RunOpts {
 	return RunOpts{
@@ -85,16 +93,16 @@ func TestRunnerPanicCancels(t *testing.T) {
 	ctx := &Context{Reps: 1, Scale: 1, Seed: 1, Parallelism: 1}
 	r := NewRunner(ctx)
 	ran := 0
-	r.SubmitFunc("ok", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
-	r.SubmitFunc("boom", func() RunResult { panic("exploded") }, func(RunResult) { ran++ })
-	r.SubmitFunc("after", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.Submit(runnerOpts(), func(RunResult) { ran++ })
+	r.Submit(panicOpts("boom"), func(RunResult) { ran++ })
+	r.Submit(runnerOpts(), func(RunResult) { ran++ })
 
 	defer func() {
 		p := recover()
 		if p == nil {
 			t.Fatal("Wait did not re-panic on cell failure")
 		}
-		if !strings.Contains(fmt.Sprint(p), "boom") {
+		if !strings.Contains(fmt.Sprint(p), "boom") || !strings.Contains(fmt.Sprint(p), "cell 1") {
 			t.Errorf("panic %v does not identify the failed cell", p)
 		}
 		if ran != 1 {
@@ -191,12 +199,12 @@ func TestRunnerInterruptMidGrid(t *testing.T) {
 	ctx := &Context{Reps: 1, Seed: 1, Parallelism: 1, Interrupt: interrupt}
 	r := NewRunner(ctx)
 	ran := 0
-	r.SubmitFunc("first", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
-	r.SubmitFunc("trigger", func() RunResult {
-		close(interrupt) // abort arrives while this cell is in flight
-		return Run(runnerOpts())
-	}, func(RunResult) { ran++ })
-	r.SubmitFunc("tail", func() RunResult { return Run(runnerOpts()) }, func(RunResult) { ran++ })
+	r.Submit(runnerOpts(), func(RunResult) { ran++ })
+	trigger := runnerOpts()
+	// The abort arrives while this cell is in flight.
+	trigger.Setup = func(*sim.Machine) { close(interrupt) }
+	r.Submit(trigger, func(RunResult) { ran++ })
+	r.Submit(runnerOpts(), func(RunResult) { ran++ })
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -244,7 +252,7 @@ func TestRunnerReuseAfterCancel(t *testing.T) {
 				t.Fatal("Wait did not panic on the failed phase")
 			}
 		}()
-		r.SubmitFunc("boom", func() RunResult { panic("first phase fails") }, nil)
+		r.Submit(panicOpts("first phase fails"), nil)
 		r.Wait()
 	}()
 

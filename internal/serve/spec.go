@@ -89,16 +89,17 @@ func ParseSpec(data []byte) (Spec, error) {
 // canonical form every equivalent submission maps to. The rules:
 //
 //   - Experiment must name a registered experiment.
-//   - Reps/Scale default to 10/1 and must be ≥ 1; Seed defaults to
-//     20100109 (a seed of 0 means "default", like the CLI).
+//   - Reps/Scale default to 10/1; Seed defaults to 20100109 (a seed of
+//     0 means "default", like the CLI). The run dials are then checked
+//     by exp.Context.Validate, the same check `lbos run` applies.
 //   - Perturb is parsed (unknown families are errors) and rewritten to
 //     a canonical family list: segments trimmed, empties dropped,
 //     "all" expanded to "noise,hotplug,freq,storm", exact duplicates
 //     deduplicated. Segment order is otherwise preserved — it carries
 //     meaning ("noise,kthread" and "kthread,noise" pick different
 //     noise presets, last one wins).
-//   - Engine dials (Parallel, Shards, ShardParallel) are validated but
-//     left as-is; Key ignores them.
+//   - Engine dials (Parallel, Shards, ShardParallel) are left as-is;
+//     Key ignores them.
 func (s Spec) Canonicalize() (Spec, error) {
 	if s.Experiment == "" {
 		return Spec{}, fmt.Errorf("serve: spec has no experiment ID")
@@ -109,23 +110,15 @@ func (s Spec) Canonicalize() (Spec, error) {
 	if s.Reps == 0 {
 		s.Reps = DefaultReps
 	}
-	if s.Reps < 1 {
-		return Spec{}, fmt.Errorf("serve: reps %d out of range (want ≥ 1)", s.Reps)
-	}
 	if s.Scale == 0 {
 		s.Scale = DefaultScale
-	}
-	if s.Scale < 1 {
-		return Spec{}, fmt.Errorf("serve: scale %d out of range (want ≥ 1)", s.Scale)
 	}
 	if s.Seed == 0 {
 		s.Seed = DefaultSeed
 	}
-	if s.Parallel < 0 {
-		return Spec{}, fmt.Errorf("serve: parallel %d out of range (want ≥ 0)", s.Parallel)
-	}
-	if s.Shards < 0 {
-		return Spec{}, fmt.Errorf("serve: shards %d out of range (want ≥ 0)", s.Shards)
+	dials := exp.Context{Reps: s.Reps, Scale: s.Scale, Parallelism: s.Parallel, Shards: s.Shards}
+	if err := dials.Validate(); err != nil {
+		return Spec{}, err
 	}
 	canon, err := canonicalPerturb(s.Perturb)
 	if err != nil {

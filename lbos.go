@@ -28,10 +28,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cfs"
 	"repro/internal/competing"
 	"repro/internal/cpuset"
-	"repro/internal/dwrr"
 	"repro/internal/exp"
 	"repro/internal/linuxlb"
 	"repro/internal/metrics"
@@ -43,7 +41,6 @@ import (
 	"repro/internal/task"
 	"repro/internal/topo"
 	"repro/internal/trace"
-	"repro/internal/ule"
 )
 
 // Millisecond is the work equivalent of one millisecond on a unit-speed
@@ -203,34 +200,25 @@ type Option func(*config)
 
 type config struct {
 	seed     uint64
-	osKind   osKind
+	os       exp.Strategy
 	linuxCfg linuxlb.Config
 	simCfg   sim.Config
 }
-
-type osKind int
-
-const (
-	osLinux osKind = iota
-	osULE
-	osDWRR
-	osNone
-)
 
 // WithSeed sets the RNG seed (runs are pure functions of topology,
 // workload and seed).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithULE replaces the Linux balancer with the FreeBSD ULE model.
-func WithULE() Option { return func(c *config) { c.osKind = osULE } }
+func WithULE() Option { return func(c *config) { c.os = exp.StratULE } }
 
 // WithDWRR replaces per-core scheduling and balancing with Distributed
 // Weighted Round-Robin.
-func WithDWRR() Option { return func(c *config) { c.osKind = osDWRR } }
+func WithDWRR() Option { return func(c *config) { c.os = exp.StratDWRR } }
 
 // WithoutBalancing disables OS load balancing entirely (per-core CFS
 // only) — useful for controlled experiments.
-func WithoutBalancing() Option { return func(c *config) { c.osKind = osNone } }
+func WithoutBalancing() Option { return func(c *config) { c.os = exp.StratCFS } }
 
 // WithLinuxConfig overrides the Linux balancer parameters.
 func WithLinuxConfig(cfg LinuxConfig) Option {
@@ -251,26 +239,15 @@ func WithMetrics(r *MetricsRegistry) Option {
 }
 
 // NewSystem builds a simulated machine running the configured OS
-// (default: CFS per core plus the Linux 2.6.28-style load balancer).
+// (default: CFS per core plus the Linux 2.6.28-style load balancer),
+// assembled exactly as the experiment harness assembles its runs.
 func NewSystem(t *Topology, opts ...Option) *System {
-	c := config{linuxCfg: linuxlb.DefaultConfig()}
+	c := config{os: exp.StratLoad, linuxCfg: linuxlb.DefaultConfig()}
 	for _, o := range opts {
 		o(&c)
 	}
 	c.simCfg.Seed = c.seed
-	switch c.osKind {
-	case osDWRR:
-		c.simCfg.NewScheduler, _ = dwrr.NewFactory(dwrr.DefaultConfig())
-	default:
-		c.simCfg.NewScheduler = cfs.Factory()
-	}
-	m := sim.New(t, c.simCfg)
-	switch c.osKind {
-	case osLinux:
-		m.AddActor(linuxlb.New(c.linuxCfg))
-	case osULE:
-		m.AddActor(ule.Default())
-	}
+	m, _ := exp.NewMachine(t, c.os, c.simCfg, &c.linuxCfg)
 	return &System{m: m}
 }
 
