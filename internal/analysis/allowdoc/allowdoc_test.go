@@ -3,8 +3,8 @@ package allowdoc_test
 import (
 	"testing"
 
-	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/allowdoc"
+	"repro/internal/analysis/analysistest"
 )
 
 func TestAllowdoc(t *testing.T) {

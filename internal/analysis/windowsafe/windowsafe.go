@@ -1,7 +1,7 @@
 // Package windowsafe implements the shard-window isolation analyzer.
 //
 // Inside a parallel lookahead window (internal/sim) every shard worker —
-// a goroutine the machine launches as `go func(s int) { ... }(s)` —
+// a goroutine the machine launches as `go func() { windowWorker() }()` —
 // may touch only its own shard's state. The simulator enforces this at
 // runtime with tripwire panics and precondition checks (windows refuse
 // to open while a tracer or metrics registry is attached); this analyzer

@@ -30,6 +30,26 @@ var matrix = []Settings{
 	{Shards: 4, ShardParallel: true, Parallelism: 8},
 }
 
+// raceMatrix is the grid under the race detector, which slows the
+// simulator ~10× and would push the package past the default test
+// timeout on the full matrix: the sequential 4-shard merge and one
+// parallel-window configuration with grid parallelism — the shard
+// workers are what the detector is there to watch. Every non-race
+// build runs the full matrix.
+var raceMatrix = []Settings{
+	{Shards: 4, Parallelism: 1},
+	{Shards: 4, ShardParallel: true, Parallelism: 8},
+}
+
+// engineMatrix returns the grid this build runs: matrix, or raceMatrix
+// under the race detector.
+func engineMatrix() []Settings {
+	if raceEnabled {
+		return raceMatrix
+	}
+	return matrix
+}
+
 // TestEngineEquivalence is the tentpole guarantee: for every driver the
 // sharded engine reproduces the legacy single-queue engine's tables,
 // trace bytes and metrics byte-identically at every shard count,
@@ -52,7 +72,7 @@ func TestEngineEquivalence(t *testing.T) {
 			if !json.Valid(legacy.Trace) {
 				t.Fatalf("legacy trace is not valid JSON:\n%.200s", legacy.Trace)
 			}
-			for _, s := range matrix {
+			for _, s := range engineMatrix() {
 				got, err := RunExperiment(id, 2, 32, 20100109, s)
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)
@@ -83,11 +103,15 @@ func TestEngineEquivalenceBare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range []Settings{
+			bare := []Settings{
 				{Shards: 4, Parallelism: 1, Bare: true},
 				{Shards: 4, ShardParallel: true, Parallelism: 1, Bare: true},
 				{Shards: 4, ShardParallel: true, Parallelism: 8, Bare: true},
-			} {
+			}
+			if raceEnabled {
+				bare = bare[2:] // the window config with grid parallelism
+			}
+			for _, s := range bare {
 				got, err := RunExperiment(id, 2, 1, 20100109, s)
 				if err != nil {
 					t.Fatalf("%v: %v", s, err)

@@ -114,8 +114,8 @@ func TestSleepWakeConsistency(t *testing.T) {
 		Iterations: 50,
 		Body: func(int) []task.Action {
 			return []task.Action{
-				task.Compute{Work: 5e6},
-				task.Sleep{D: 20 * time.Millisecond},
+				task.Compute(5e6),
+				task.Sleep(20 * time.Millisecond),
 			}
 		},
 	})
@@ -138,7 +138,7 @@ func TestSleepWakeConsistency(t *testing.T) {
 func TestMigrationVolume(t *testing.T) {
 	m, g := newDWRR(2, 6)
 	for i := 0; i < 3; i++ {
-		tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute{Work: 3e9}}})
+		tk := m.NewTask("t", &task.Seq{Actions: []task.Action{task.Compute(3e9)}})
 		m.Start(tk)
 	}
 	m.Run(int64(time.Minute))
@@ -170,8 +170,8 @@ func TestWakeAcrossRoundsGetsFreshBudget(t *testing.T) {
 		Iterations: iters,
 		Body: func(int) []task.Action {
 			return []task.Action{
-				task.Compute{Work: 95e6},
-				task.Sleep{D: 300 * time.Millisecond},
+				task.Compute(95e6),
+				task.Sleep(300 * time.Millisecond),
 			}
 		},
 	})

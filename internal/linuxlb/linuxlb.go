@@ -28,6 +28,7 @@
 package linuxlb
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cpuset"
@@ -119,6 +120,44 @@ type coreState struct {
 	levels []levelGroups
 	// tick is the core's reusable scheduler-tick timer.
 	tick *sim.Timer
+	// pull is moveTasks' queue-scan state while this core is the
+	// destination. It lives per core, not per balancer, because
+	// new-idle passes on different shards run concurrently inside
+	// parallel windows; a core is only ever balanced on its own shard.
+	pull pullScan
+}
+
+// pullScan is the state of one moveTasks walk over a source queue. Its
+// visit func is consider bound once at Start, so the EachQueued
+// interface call gets the same func value every pass instead of a
+// closure that escapes to the heap.
+type pullScan struct {
+	dst    int
+	amount int64
+	moved  int
+	// hotAfter is the LastRanAt bound past which a task counts as
+	// cache-hot (math.MaxInt64 when hotness does not matter: a forced
+	// pull, or an SMT sibling sharing the caches).
+	hotAfter int64
+	pick     *task.Task
+	visit    func(t *task.Task) bool
+}
+
+// consider is the EachQueued visitor: it picks the first queued task
+// that may move to dst, fits the remaining amount (the first pick may
+// overshoot) and is not cache-hot, and stops the walk there.
+func (p *pullScan) consider(t *task.Task) bool {
+	if !t.Affinity.Has(p.dst) {
+		return true
+	}
+	if t.Sched.Weight > p.amount && p.moved > 0 {
+		return true
+	}
+	if t.LastRanAt > p.hotAfter {
+		return true
+	}
+	p.pick = t
+	return false
 }
 
 // levelGroups caches one (core, level) balancing view.
@@ -183,6 +222,7 @@ func (b *Balancer) Start(m *sim.Machine) {
 			cs.nextBalance[li] = int64(l.BusyInterval)
 			cs.levels[li] = b.buildLevel(i, li)
 		}
+		cs.pull.visit = cs.pull.consider
 		b.cores[i] = cs
 		// Stagger ticks across cores as real timer interrupts are.
 		off := b.rng.Jitter(int64(b.cfg.Tick))
@@ -485,36 +525,28 @@ func (b *Balancer) findBusiestQueue(c *sim.Core, group *groupInfo, newIdle bool)
 // skipping the running task and (unless force) cache-hot tasks and
 // respecting affinity. Returns the number of tasks moved.
 func (b *Balancer) moveTasks(src, dst *sim.Core, amount int64, force bool) int {
-	moved := 0
-	// The destination core's clock, not Machine.Now: inside a parallel
-	// window the machine clock lags the shard clock this pass runs on
-	// (src and dst share a shard whenever a window is open).
-	now := dst.Now()
-	for amount > 0 {
-		var pick *task.Task
-		src.Scheduler().EachQueued(func(t *task.Task) bool {
-			if !t.Affinity.Has(dst.ID()) {
-				return true
-			}
-			if t.Sched.Weight > amount && moved > 0 {
-				return true
-			}
-			hot := now-t.LastRanAt < int64(b.cfg.CacheHot) &&
-				b.m.Topo.Distance(src.ID(), dst.ID()) > topo.DistSMT
-			if hot && !force {
-				return true
-			}
-			pick = t
-			return false
-		})
+	p := &b.cores[dst.ID()].pull
+	p.dst, p.amount, p.moved = dst.ID(), amount, 0
+	p.hotAfter = math.MaxInt64
+	if !force && b.m.Topo.Distance(src.ID(), dst.ID()) > topo.DistSMT {
+		// The destination core's clock, not Machine.Now: inside a
+		// parallel window the machine clock lags the shard clock this
+		// pass runs on (src and dst share a shard whenever a window is
+		// open).
+		p.hotAfter = dst.Now() - int64(b.cfg.CacheHot)
+	}
+	for p.amount > 0 {
+		p.pick = nil
+		src.Scheduler().EachQueued(p.visit)
+		pick := p.pick
 		if pick == nil {
 			break
 		}
-		amount -= pick.Sched.Weight
+		p.amount -= pick.Sched.Weight
 		b.m.Migrate(pick, dst.ID(), "linuxlb")
-		moved++
+		p.moved++
 	}
-	return moved
+	return p.moved
 }
 
 // activeBalance pushes the running task of the busiest core to the

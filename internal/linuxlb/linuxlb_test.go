@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpuset"
 	"repro/internal/linuxlb"
 	"repro/internal/sim"
+	"repro/internal/spmd"
 	"repro/internal/task"
 	"repro/internal/topo"
 )
@@ -111,7 +112,7 @@ func TestStalePlacementClumps(t *testing.T) {
 func TestNewIdlePull(t *testing.T) {
 	m, b := newMachine(topo.SMP(2), 5)
 	// A short-lived task on core 1 plus two hogs on core 0.
-	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute{Work: 30e6}}})
+	short := m.NewTask("short", &task.Seq{Actions: []task.Action{task.Compute(30e6)}})
 	m.StartOn(short, 1)
 	h := m.NewTask("hog1", &task.ComputeForever{Chunk: 1e9})
 	m.StartOn(h, 0)
@@ -171,7 +172,7 @@ func TestYieldWaitersCountAsLoad(t *testing.T) {
 	// never fires), plus two hogs on core 0.
 	never := newNeverCond()
 	waiter := m.NewTask("waiter", &task.Seq{Actions: []task.Action{
-		task.WaitFor{C: never, Policy: task.WaitYield},
+		task.WaitFor(never, task.WaitYield, 0),
 	}})
 	m.StartOn(waiter, 1)
 	hogs(m, 2, 0)
@@ -188,7 +189,7 @@ func TestBlockWaitersDoNotCountAsLoad(t *testing.T) {
 	m, _ := newMachine(topo.SMP(2), 9)
 	never := newNeverCond()
 	waiter := m.NewTask("waiter", &task.Seq{Actions: []task.Action{
-		task.WaitFor{C: never, Policy: task.WaitBlock},
+		task.WaitFor(never, task.WaitBlock, 0),
 	}})
 	m.StartOn(waiter, 1)
 	hogs(m, 2, 0)
@@ -233,5 +234,35 @@ func TestClumpDispersal(t *testing.T) {
 	}
 	if b.Pulls+b.NewIdlePulls == 0 {
 		t.Error("no pulls during dispersal")
+	}
+}
+
+// Steady-state pulls allocate nothing. A 2-thread yield-barrier UPC app
+// and a 6-thread usleep-barrier UPC app share a 4-core SMP: the sleepers
+// keep emptying cores, whose new-idle passes walk queues that hold
+// yield-waiters (and the yield-waiters' own check scans the same
+// queues). Both scans hand EachQueued a func bound once at setup, so
+// neither allocates.
+func TestPullsAllocFree(t *testing.T) {
+	m, b := newMachine(topo.SMP(4), 11)
+	for _, spec := range []spmd.Spec{
+		{Name: "yield", Threads: 2, Iterations: 1 << 30, WorkPerIteration: 2e6,
+			WorkJitter: 0.5, Model: spmd.UPC()},
+		{Name: "sleep", Threads: 6, Iterations: 1 << 30, WorkPerIteration: 2e6,
+			WorkJitter: 0.5, Model: spmd.UPCSleep()},
+	} {
+		spmd.Build(m, spec).Start()
+	}
+	m.RunFor(time.Second)
+	pulls := b.Pulls + b.NewIdlePulls
+	avg := testing.AllocsPerRun(5, func() { m.RunFor(100 * time.Millisecond) })
+	if b.Pulls+b.NewIdlePulls == pulls {
+		t.Fatal("no pulls in the measured spans; the test measures nothing")
+	}
+	if raceEnabled {
+		t.Skipf("race build: %v allocs per span, bound not checked", avg)
+	}
+	if avg != 0 {
+		t.Errorf("steady-state span with pulls allocates %v times, want 0", avg)
 	}
 }

@@ -283,30 +283,54 @@ func (g *Gen) program(c *Class, bar *spmd.Barrier) task.Program {
 		if model.Name == "" {
 			model = spmd.UPC()
 		}
-		perIter := c.Work / float64(bar.N()) / float64(iters)
-		wait := task.WaitFor{C: bar, Policy: model.Policy, Blocktime: model.Blocktime}
-		return &task.Loop{
-			Iterations: iters,
-			Body:       func(int) []task.Action { return []task.Action{task.Compute{Work: perIter}, wait} },
+		return &jobProgram{
+			work:   c.Work / float64(bar.N()) / float64(iters),
+			rounds: iters,
+			gap:    task.WaitFor(bar, model.Policy, model.Blocktime),
+			gaps:   iters,
 		}
 	}
 	bursts := c.Bursts
 	if bursts <= 1 {
-		return &task.Seq{Actions: []task.Action{task.Compute{Work: c.Work}}}
+		return &jobProgram{work: c.Work, rounds: 1}
 	}
-	perBurst := c.Work / float64(bursts)
-	sleep := c.Sleep
-	return &task.Loop{
-		Iterations: bursts,
-		Body: func(iter int) []task.Action {
-			if iter == bursts-1 {
-				// The final burst ends the job; a trailing think time
-				// would pad every interactive sojourn by Sleep.
-				return []task.Action{task.Compute{Work: perBurst}}
-			}
-			return []task.Action{task.Compute{Work: perBurst}, task.Sleep{D: sleep}}
-		},
+	// The final burst ends the job; a trailing think time would pad
+	// every interactive sojourn by Sleep.
+	return &jobProgram{
+		work:   c.Work / float64(bursts),
+		rounds: bursts,
+		gap:    task.Sleep(c.Sleep),
+		gaps:   bursts - 1,
 	}
+}
+
+// jobProgram is one thread of an open-system job: rounds computes of
+// work each, the first gaps of them followed by the gap action (a
+// parallel job's barrier wait, an interactive job's think time). A batch
+// job is one round with no gap. Like the spmd worker it is a small state
+// machine, so a step allocates nothing.
+type jobProgram struct {
+	work   float64
+	rounds int
+	gap    task.Action
+	gaps   int
+
+	round int
+	inGap bool
+}
+
+// Next implements task.Program.
+func (p *jobProgram) Next(*task.Task, int64) task.Action {
+	if p.inGap {
+		p.inGap = false
+		return p.gap
+	}
+	if p.round >= p.rounds {
+		return task.Exit()
+	}
+	p.round++
+	p.inGap = p.round <= p.gaps
+	return task.Compute(p.work)
 }
 
 // taskDone folds a finished thread into its job, emitting the job's

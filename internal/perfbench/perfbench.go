@@ -187,12 +187,13 @@ func calibBench(b *testing.B) int64 {
 	return 0
 }
 
-// wakeBench measures the balancer-wake hot path: 32 UPC threads on the
-// 16-core Tigerton under speed balancing, advanced one 100 ms balance
-// interval per op. The app is effectively endless, so every op does the
-// same steady-state work: ~16 balancer wakes (sample + balance) plus the
-// compute/barrier event traffic they ride on.
-func wakeBench(b *testing.B) int64 {
+// wakeSetup builds the wake case's machine: 32 UPC threads on the
+// 16-core Tigerton under speed balancing, run one simulated second into
+// its steady state. The app is effectively endless, so every later
+// 100 ms interval does the same steady-state work: ~16 balancer wakes
+// (sample + balance) plus the compute/barrier event traffic they ride
+// on.
+func wakeSetup() *sim.Machine {
 	m := sim.New(topo.Tigerton(), sim.Config{Seed: suiteSeed, NewScheduler: cfs.Factory()})
 	app := spmd.Build(m, spmd.Spec{
 		Name:             "wake",
@@ -204,6 +205,13 @@ func wakeBench(b *testing.B) int64 {
 	bal := speedbal.New(speedbal.Config{})
 	bal.Launch(m, app)
 	m.RunFor(time.Second) // reach steady state
+	return m
+}
+
+// wakeBench measures the balancer-wake hot path: the wakeSetup machine
+// advanced one 100 ms balance interval per op.
+func wakeBench(b *testing.B) int64 {
+	m := wakeSetup()
 	before := m.Stats.Events
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -345,15 +353,19 @@ func serveBench(b *testing.B) int64 {
 // task, barrier and balancer is socket-contained, so the simulation runs
 // almost entirely inside parallel windows — the configuration the
 // 1,024-core throughput case exists to gate.
-func fabric1kSetup() *sim.Machine {
-	tp := topo.Fabric(16, 64)
+func fabric1kSetup() *sim.Machine { return fabricSetup(16, 64) }
+
+// fabricSetup is fabric1kSetup for a sockets × perSocket fabric, with
+// one event shard per socket.
+func fabricSetup(sockets, perSocket int) *sim.Machine {
+	tp := topo.Fabric(sockets, perSocket)
 	m := sim.New(tp, sim.Config{Seed: suiteSeed, NewScheduler: cfs.Factory(),
-		Shards: 16, ShardParallel: true})
-	perSocket := make([]cpuset.Set, 16)
+		Shards: sockets, ShardParallel: true})
+	sets := make([]cpuset.Set, sockets)
 	for _, ci := range tp.Cores {
-		perSocket[ci.Socket] = perSocket[ci.Socket].Add(ci.ID)
+		sets[ci.Socket] = sets[ci.Socket].Add(ci.ID)
 	}
-	for s, set := range perSocket {
+	for s, set := range sets {
 		lcfg := linuxlb.DefaultConfig()
 		lcfg.Domain = set
 		m.AddActor(linuxlb.New(lcfg))
@@ -476,9 +488,17 @@ func RunSuite(log io.Writer) *Report {
 	return r
 }
 
+// zeroAllocSlack is the allocs/op a case with an allocation-free
+// baseline may read before Compare fails it. A ratio cannot apply to a
+// zero baseline, and a strict zero would fail on runtime noise: fab1k's
+// shard workers park on a channel, and after each benchmark round's GC
+// the Go runtime allocates a few parking records (0–5 per op measured).
+const zeroAllocSlack = 16
+
 // Compare evaluates report r against a baseline with the given relative
 // tolerance (0.15 = 15%). The allocs/op gate is absolute (counts are
-// host-independent); the ns/op gate uses the calibration-normalised
+// host-independent), and an allocation-free baseline case fails above
+// zeroAllocSlack; the ns/op gate uses the calibration-normalised
 // figures so baselines recorded on other machines stay meaningful. The
 // calibration case itself is never gated.
 func Compare(r, base *Report, baselinePath string, tol float64) *Comparison {
@@ -511,6 +531,10 @@ func Compare(r, base *Report, baselinePath string, tol float64) *Comparison {
 					"%s: allocs/op regressed %.1f%% (%d -> %d, tolerance %.0f%%)",
 					c.Name, (d.AllocsRatio-1)*100, o.AllocsPerOp, c.AllocsPerOp, tol*100))
 			}
+		} else if c.AllocsPerOp > zeroAllocSlack {
+			cmp.Regressions = append(cmp.Regressions, fmt.Sprintf(
+				"%s: allocs/op regressed (0 -> %d, an allocation-free baseline allows %d)",
+				c.Name, c.AllocsPerOp, zeroAllocSlack))
 		}
 		if o.EventsPerSec > 0 && c.EventsPerSec > 0 {
 			d.EventsPerSecRatio = c.EventsPerSec / o.EventsPerSec

@@ -52,6 +52,20 @@ func TestCompareGates(t *testing.T) {
 		}
 	}
 
+	// An allocation-free baseline has no ratio to apply the tolerance
+	// to: runtime noise up to zeroAllocSlack passes, a relapse fails.
+	free := report(Case{Name: "calib", NsPerOp: 1e6}, Case{Name: "wake", NsNorm: 1.0})
+	for _, tc := range []struct {
+		allocs int64
+		gated  bool
+	}{{0, false}, {zeroAllocSlack, false}, {zeroAllocSlack + 1, true}, {1699, true}} {
+		run := report(Case{Name: "calib", NsPerOp: 1e6}, Case{Name: "wake", NsNorm: 1.0, AllocsPerOp: tc.allocs})
+		if c := Compare(run, free, "base.json", 0.15); (len(c.Regressions) > 0) != tc.gated {
+			t.Errorf("%d allocs/op against a zero baseline: regressions %v, want gated=%v",
+				tc.allocs, c.Regressions, tc.gated)
+		}
+	}
+
 	// A case missing from the baseline is skipped, not gated.
 	extra := report(Case{Name: "brand-new", NsNorm: 99, AllocsPerOp: 99})
 	if c := Compare(extra, base, "base.json", 0.15); len(c.Regressions) != 0 {
@@ -142,4 +156,40 @@ func TestFabric1kWindowsOpen(t *testing.T) {
 	if frac := float64(m.WindowEvents()) / float64(m.Stats.Events); frac < 0.5 {
 		t.Errorf("only %.0f%% of events ran inside windows, want most", frac*100)
 	}
+}
+
+// requireNoAllocs fails t unless run, after warm-up, allocates nothing
+// on average over runs calls. Race builds run the scenario but skip the
+// bound: the race runtime allocates on its own.
+func requireNoAllocs(t *testing.T, runs int, run func()) {
+	t.Helper()
+	avg := testing.AllocsPerRun(runs, run)
+	if raceEnabled {
+		t.Skipf("race build: %v allocs per run, bound not checked", avg)
+	}
+	if avg != 0 {
+		t.Errorf("steady state allocates %v times per run, want 0", avg)
+	}
+}
+
+// The wake case's steady state is allocation-free: a 100 ms balance
+// interval of 32 yield-barrier UPC threads under speed balancing on the
+// Tigerton. Program steps return actions by value, barriers reuse their
+// waiter buffers and the yield-waiter queue scan is a func bound at
+// machine construction.
+func TestWakeIntervalAllocFree(t *testing.T) {
+	m := wakeSetup()
+	requireNoAllocs(t, 5, func() { m.RunFor(100 * time.Millisecond) })
+}
+
+// The sharded engine's steady state is allocation-free too: a span of
+// pinned UPC-sleep apps on a 4-socket fabric, one event shard per socket
+// with parallel windows and a socket-domain Linux balancer each.
+func TestFabricSpanAllocFree(t *testing.T) {
+	m := fabricSetup(4, 16)
+	m.RunFor(50 * time.Millisecond)
+	if m.Windows() == 0 {
+		t.Fatal("no parallel window opened; the test would measure the serial path")
+	}
+	requireNoAllocs(t, 5, func() { m.RunFor(10 * time.Millisecond) })
 }

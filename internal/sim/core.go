@@ -39,6 +39,12 @@ type Core struct {
 	// (wakeup preemption, release of a running waiter).
 	needResched bool
 	inDispatch  bool
+	// yieldScan is unreleasedYieldWaiter bound once at New, so
+	// onlyYieldWaitersQueued hands the scheduler's EachQueued the same
+	// func value every time instead of a closure that escapes through
+	// the interface call. yieldScanAll is its result.
+	yieldScan    func(o *task.Task) bool
+	yieldScanAll bool
 
 	idle      bool
 	idleSince int64
@@ -578,15 +584,20 @@ func (c *Core) onStop() {
 // onlyYieldWaitersQueued reports whether every queued task on this core
 // is an unreleased yield-waiter (the symmetric ping-pong case).
 func (c *Core) onlyYieldWaitersQueued() bool {
-	all := true
-	c.sched.EachQueued(func(o *task.Task) bool {
-		if o.Cur.Kind != task.ExecYieldWait || o.Cur.Released {
-			all = false
-			return false
-		}
-		return true
-	})
-	return all
+	c.yieldScanAll = true
+	c.sched.EachQueued(c.yieldScan)
+	return c.yieldScanAll
+}
+
+// unreleasedYieldWaiter is onlyYieldWaitersQueued's EachQueued visitor:
+// it clears yieldScanAll and stops the walk at the first queued task
+// that is not an unreleased yield-waiter.
+func (c *Core) unreleasedYieldWaiter(o *task.Task) bool {
+	if o.Cur.Kind != task.ExecYieldWait || o.Cur.Released {
+		c.yieldScanAll = false
+		return false
+	}
+	return true
 }
 
 // advanceCurrent moves the running task to its next program action.

@@ -171,26 +171,26 @@ type Machine struct {
 	Cores []*Core
 	Stats Stats
 
-	cfg      Config
-	events   *eventq.Sharded
-	now      int64
-	rng      *xrand.RNG
-	tasks    []*task.Task
-	actors   []Actor
-	placer   Placer
+	cfg       Config
+	events    *eventq.Sharded
+	now       int64
+	rng       *xrand.RNG
+	tasks     []*task.Task
+	actors    []Actor
+	placer    Placer
 	idleFns   []func(c *Core)
 	doneFns   []func(t *task.Task)
 	startFns  []func(t *task.Task)
 	moveFns   []func(t *task.Task, from, to int)
 	onlineFns []func(c *Core, online bool)
 	nOnline   int
-	running  bool
-	stopped  bool
-	nextTask int
-	live     int
-	tracer   trace.Tracer
-	metrics  *metrics.Registry
-	traceSeq uint64
+	running   bool
+	stopped   bool
+	nextTask  int
+	live      int
+	tracer    trace.Tracer
+	metrics   *metrics.Registry
+	traceSeq  uint64
 	// sleepTimers holds one reusable wake event per task (indexed by
 	// task ID, grown on demand): timed sleeps and poll-wait backoffs are
 	// the highest-churn timers in the simulator, and a task has at most
@@ -201,9 +201,9 @@ type Machine struct {
 	// Shard layout (fixed at New): socket-aligned so every SMT pair and
 	// memory domain lives inside one shard, keeping contention models
 	// shard-local. shardOf maps core → shard; shardCores is the inverse.
-	nShards    int
-	shardOf    []int32
-	shardCores []cpuset.Set
+	nShards     int
+	shardOf     []int32
+	shardCores  []cpuset.Set
 	shardStates []shardState
 	// shardClosed records whether SMT siblings and memory domains are
 	// contained in single shards — a precondition of parallel windows
@@ -226,6 +226,70 @@ type Machine struct {
 	// groupShard is tryWindow's scratch map for the app-containment
 	// check, kept across calls to avoid a per-horizon allocation.
 	groupShard map[string]int32
+	// windowWG joins a window's shard jobs. It lives in the machine
+	// because a WaitGroup on runWindow's stack would escape to the heap
+	// through the jobs, one allocation per window.
+	windowWG sync.WaitGroup
+}
+
+// windowJob is one shard's share of a parallel window.
+type windowJob struct {
+	m       *Machine
+	shard   int
+	horizon int64
+}
+
+// The shard workers of every machine's parallel windows form one
+// process-wide pool of goroutines that are started on demand and never
+// stopped. Launching goroutines per window instead allocates: a go
+// statement whose literal captures variables allocates its closure, and
+// the runtime allocates a fresh goroutine whenever its free list runs
+// dry, so the count would vary from run to run. Which worker runs
+// which machine's shard does not matter: output depends only on the
+// shard's own events. The 64 slots hold every job of a window with up
+// to 65 shards, so a lone machine's sends never block; when several
+// machines share the pool, a full channel blocks a sender only until a
+// worker takes a job, since a job never waits on another.
+var windowJobs = make(chan windowJob, 64)
+
+// windowPool sizes the pool: one worker per job in flight, as if every
+// job had its own goroutine. A pool of only GOMAXPROCS workers ran the
+// 16-shard fab1k windows ~20% slower on a 2-vCPU host. Only window
+// submitters touch it.
+var windowPool struct {
+	sync.Mutex
+	workers int // goroutines started
+	busy    int // jobs sent by windows that are still open
+}
+
+// reserveWindowWorker accounts for one job about to be sent, starting a
+// worker if every started one may be busy.
+func reserveWindowWorker() {
+	p := &windowPool
+	p.Lock()
+	p.busy++
+	if p.workers < p.busy {
+		p.workers++
+		go func() { windowWorker() }()
+	}
+	p.Unlock()
+}
+
+// releaseWindowWorkers returns n finished jobs' workers to the pool.
+func releaseWindowWorkers(n int) {
+	p := &windowPool
+	p.Lock()
+	p.busy -= n
+	p.Unlock()
+}
+
+// windowWorker runs window jobs forever: the shard worker body.
+func windowWorker() {
+	for {
+		j := <-windowJobs
+		j.m.drainShard(j.shard, j.horizon)
+		j.m.windowWG.Done()
+	}
 }
 
 // New builds a machine over the topology. The scheduler factory in cfg is
@@ -259,6 +323,7 @@ func New(tp *topo.Topology, cfg Config) *Machine {
 		// every dispatch, slice boundary and wait check, so each core owns
 		// one reusable event and reschedules it in place.
 		c.stopEv = eventq.NewEvent(func(now int64) { c.onStop() })
+		c.yieldScan = c.unreleasedYieldWaiter
 		m.Cores = append(m.Cores, c)
 	}
 	for _, c := range m.Cores {
@@ -994,19 +1059,19 @@ func (m *Machine) NoteMigration(t *task.Task, dst int, label string) {
 func (m *Machine) advance(t *task.Task) {
 	for {
 		now := m.clock(t.CoreID)
-		var a task.Action = task.Exit{}
+		a := task.Exit()
 		if t.Prog != nil {
 			a = t.Prog.Next(t, now)
 		}
-		switch a := a.(type) {
-		case task.Compute:
+		switch a.Kind {
+		case task.ActCompute:
 			t.Cur = task.Exec{Kind: task.ExecCompute, WorkLeft: a.Work}
 			return
-		case task.Sleep:
+		case task.ActSleep:
 			t.Cur = task.Exec{Kind: task.ExecSleep, WakeAt: now + int64(a.D)}
 			m.sleepUntil(t, t.Cur.WakeAt)
 			return
-		case task.WaitFor:
+		case task.ActWait:
 			if a.C.Arrive(t, m) {
 				continue // condition already satisfied; next action
 			}
@@ -1014,7 +1079,7 @@ func (m *Machine) advance(t *task.Task) {
 			case task.WaitSpin:
 				t.Cur = task.Exec{Kind: task.ExecSpin, Cond: a.C, Policy: a.Policy, SpinLeft: -1}
 			case task.WaitSpinThenBlock:
-				bt := a.Blocktime
+				bt := a.D
 				if bt <= 0 {
 					bt = 200 * time.Millisecond // KMP_BLOCKTIME default
 				}
@@ -1036,11 +1101,11 @@ func (m *Machine) advance(t *task.Task) {
 				continue
 			}
 			return
-		case task.Exit:
+		case task.ActExit:
 			m.exit(t)
 			return
 		default:
-			panic(fmt.Sprintf("sim: unknown action %T", a))
+			panic(fmt.Sprintf("sim: unknown action kind %d", a.Kind))
 		}
 	}
 }
@@ -1274,28 +1339,29 @@ func (m *Machine) tryWindow(until int64) bool {
 	return true
 }
 
-// runWindow drains every shard queue up to (strictly before) horizon,
-// one goroutine per shard with pending work, then folds the per-shard
-// clocks and counter deltas back into the machine, in shard order.
+// runWindow drains every shard queue up to (strictly before) horizon —
+// shard 0 on the calling goroutine, every other shard with pending work
+// as a job for the window worker pool — then folds the per-shard clocks
+// and counter deltas back into the machine, in shard order.
 func (m *Machine) runWindow(horizon int64) {
 	for s := range m.shardStates {
 		m.shardStates[s].now = m.now
 	}
 	m.events.BeginWindow()
 	m.window = true
-	var wg sync.WaitGroup
+	jobs := 0
 	for s := 1; s < m.nShards; s++ {
 		if h := m.events.ShardPeek(s); h == nil || h.At >= horizon {
 			continue
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			m.drainShard(s, horizon)
-		}(s)
+		reserveWindowWorker()
+		m.windowWG.Add(1)
+		windowJobs <- windowJob{m: m, shard: s, horizon: horizon}
+		jobs++
 	}
 	m.drainShard(0, horizon)
-	wg.Wait()
+	m.windowWG.Wait()
+	releaseWindowWorkers(jobs)
 	m.window = false
 	m.events.EndWindow()
 	m.windows++

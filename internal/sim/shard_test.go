@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -132,6 +133,38 @@ func TestParallelWindowInvariance(t *testing.T) {
 	}
 }
 
+// Machines opening windows at once share one shard-worker pool: a
+// worker may drain a shard of any machine between two of another's.
+// Each machine must still reach the fingerprint it reaches alone.
+func TestConcurrentMachinesShareWindowWorkers(t *testing.T) {
+	run := func() (string, int) {
+		m := sim.New(topo.Fabric(4, 4), shardCfg(11, 4, true))
+		socketApps(m, spmd.UPCSleep(), 8)
+		m.Run(int64(40 * time.Millisecond))
+		return fingerprint(m), m.Windows()
+	}
+	want, windows := run()
+	if windows == 0 {
+		t.Fatal("no window opened; the machines would not share the pool")
+	}
+	const machines = 4
+	got := make([]string, machines)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = run()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("machine %d diverged from a lone run:\n%s", i, diffLines(want, g))
+		}
+	}
+}
+
 // hog returns a program that computes forever in fixed chunks.
 func hog(chunk time.Duration) task.Program {
 	return &task.ComputeForever{Chunk: float64(chunk)}
@@ -176,11 +209,11 @@ func TestWindowBlockedByWideAffinity(t *testing.T) {
 func TestSleepTimerFollowsShard(t *testing.T) {
 	m := sim.New(topo.Tigerton(), shardCfg(3, 4, false))
 	tk := m.NewTask("sleeper", &task.Seq{Actions: []task.Action{
-		task.Compute{Work: float64(100 * time.Microsecond)},
-		task.Sleep{D: 5 * time.Millisecond},
-		task.Compute{Work: float64(100 * time.Microsecond)},
-		task.Sleep{D: 5 * time.Millisecond},
-		task.Compute{Work: float64(100 * time.Microsecond)},
+		task.Compute(float64(100 * time.Microsecond)),
+		task.Sleep(5 * time.Millisecond),
+		task.Compute(float64(100 * time.Microsecond)),
+		task.Sleep(5 * time.Millisecond),
+		task.Compute(float64(100 * time.Microsecond)),
 	}})
 	m.StartOn(tk, 0)
 	// Let it reach its first sleep, then move it to the last socket.
@@ -263,9 +296,9 @@ func TestHotplugMidMigrationSharded(t *testing.T) {
 	run := func(shards int) string {
 		m := sim.New(topo.Tigerton(), shardCfg(13, shards, false))
 		tk := m.NewTask("victim", &task.Seq{Actions: []task.Action{
-			task.Compute{Work: float64(100 * time.Microsecond)},
-			task.Sleep{D: 4 * time.Millisecond},
-			task.Compute{Work: float64(300 * time.Microsecond)},
+			task.Compute(float64(100 * time.Microsecond)),
+			task.Sleep(4 * time.Millisecond),
+			task.Compute(float64(300 * time.Microsecond)),
 		}})
 		m.StartOn(tk, 2)
 		filler := m.NewTask("filler", hog(time.Millisecond))

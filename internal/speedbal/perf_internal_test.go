@@ -64,11 +64,11 @@ func TestMembershipConsistencyUnderChurn(t *testing.T) {
 		// queue-length imbalances recur across the whole run and both
 		// balancers keep moving threads.
 		for k := 0; k < 4+2*i; k++ {
-			acts = append(acts, task.Compute{Work: 1.5e8})
+			acts = append(acts, task.Compute(1.5e8))
 			if i%2 == 0 {
 				// Half the threads sleep between bursts, creating idle
 				// cores and new-idle pulls.
-				acts = append(acts, task.Sleep{D: 20 * time.Millisecond})
+				acts = append(acts, task.Sleep(20*time.Millisecond))
 			}
 		}
 		tk := m.NewTask(fmt.Sprintf("churn.%d", i), &task.Seq{Actions: acts})
@@ -110,7 +110,7 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 	// so the rescan has to discover them.
 	spawn := func(i int) {
 		tk := m.NewTask(fmt.Sprintf("dyn.%d", i), &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 6e8},
+			task.Compute(6e8),
 		}})
 		tk.Group = "dyn"
 		m.StartOn(tk, i%2)
@@ -149,7 +149,7 @@ func TestAccountingPurgeAndDrain(t *testing.T) {
 // publish a stale speed. sampled[j] may only advance when wall > 0.
 func TestZeroWallSampleKeepsWindowOpen(t *testing.T) {
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 41, NewScheduler: cfs.Factory()})
-	tk := m.NewTask("app.0", &task.Seq{Actions: []task.Action{task.Compute{Work: 1e9}}})
+	tk := m.NewTask("app.0", &task.Seq{Actions: []task.Action{task.Compute(1e9)}})
 	b := New(DefaultConfig())
 	b.Manage(m, []*task.Task{tk}, cpuset.All(2))
 	m.AddActor(b)
@@ -171,17 +171,17 @@ func TestZeroWallSampleKeepsWindowOpen(t *testing.T) {
 	}
 }
 
-// With tracing off, a steady-state balance interval runs with a bounded
-// number of allocations. Before the membership lists and reusable wake
-// timers this figure was an order of magnitude higher (per-wake closure
-// and Queued() slices); the bound fails if those return.
+// With tracing off, a steady-state balance interval allocates nothing.
+// Before the membership lists and reusable wake timers this figure was
+// an order of magnitude higher (per-wake closure and Queued() slices),
+// and until program actions became values every compute step boxed its
+// action. The threads compute in 1 ms chunks, so an interval also takes
+// hundreds of program steps; the bound fails if any of those return.
 func TestWakeAllocationsBounded(t *testing.T) {
 	m := sim.New(topo.SMP(2), sim.Config{Seed: 43, NewScheduler: cfs.Factory()})
 	var tasks []*task.Task
 	for i := 0; i < 6; i++ {
-		tk := m.NewTask(fmt.Sprintf("app.%d", i), &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 1e12},
-		}})
+		tk := m.NewTask(fmt.Sprintf("app.%d", i), &task.ComputeForever{Chunk: 1e6})
 		tasks = append(tasks, tk)
 		m.StartOn(tk, i%2)
 	}
@@ -193,8 +193,10 @@ func TestWakeAllocationsBounded(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		m.RunFor(100 * time.Millisecond)
 	})
-	t.Logf("allocs per balance interval: %v", avg)
-	if avg > 200 {
-		t.Errorf("steady-state interval allocates %v times, want ≤ 200", avg)
+	if raceEnabled {
+		t.Skipf("race build: %v allocs per interval, bound not checked", avg)
+	}
+	if avg != 0 {
+		t.Errorf("steady-state interval allocates %v times, want 0", avg)
 	}
 }

@@ -25,6 +25,8 @@
 package speedbal
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -241,6 +243,10 @@ type Balancer struct {
 	// recover the core's capacity from the per-thread speed, then
 	// divides by the live occupancy.
 	occAtSample []int
+	// candBuf and victimBuf are balance's and pickVictim's per-pass
+	// candidate lists, kept across passes so a pull allocates nothing.
+	candBuf   []pullCand
+	victimBuf []*task.Task
 
 	// Migrations counts pulls performed, for reporting.
 	Migrations int
@@ -1047,13 +1053,7 @@ func (b *Balancer) balance(j int, now int64) {
 	// slowest one that actually holds a migratable managed thread (a
 	// core occupied only by unrelated work is slow but has nothing for
 	// us to take).
-	type cand struct {
-		k        int
-		sk       float64
-		dist     topo.Distance
-		predOnly bool
-	}
-	var cands []cand
+	cands := b.candBuf[:0]
 	for k, remote := range b.cores {
 		if k == j || b.speeds[k] < 0 {
 			continue
@@ -1120,20 +1120,23 @@ func (b *Balancer) balance(j int, now int64) {
 			}
 			continue
 		}
-		cands = append(cands, cand{k, sk, d, predOnly})
+		cands = append(cands, pullCand{k, sk, d, predOnly})
 	}
+	b.candBuf = cands
 	// Prefer nearby sources: migrations between cache-sharing cores are
 	// orders of magnitude cheaper, which is why §5.2 lets them happen
 	// more often ("migrations ... twice as often between cores that
 	// share a cache"). Ties break toward the slowest core.
-	sort.Slice(cands, func(a, bb int) bool {
-		if cands[a].dist != cands[bb].dist {
-			return cands[a].dist < cands[bb].dist
+	slices.SortFunc(cands, func(x, y pullCand) int {
+		switch {
+		case x.dist != y.dist:
+			return cmp.Compare(x.dist, y.dist)
+		case x.sk < y.sk:
+			return -1
+		case x.sk > y.sk:
+			return 1
 		}
-		if cands[a].sk != cands[bb].sk {
-			return cands[a].sk < cands[bb].sk
-		}
-		return cands[a].k < cands[bb].k
+		return cmp.Compare(x.k, y.k)
 	})
 	for _, c := range cands {
 		victim := b.pickVictim(b.cores[c.k], local)
@@ -1227,10 +1230,20 @@ func (b *Balancer) countManaged(core int) int {
 	return len(b.members[b.coreIdx[core]])
 }
 
+// pullCand is a remote core balance may pull from: its balancer index,
+// speed, distance from the local core, and whether only the predictive
+// test admitted it.
+type pullCand struct {
+	k        int
+	sk       float64
+	dist     topo.Distance
+	predOnly bool
+}
+
 // pickVictim chooses which managed thread to pull off the remote core:
 // the least-migrated by default.
 func (b *Balancer) pickVictim(remote, local int) *task.Task {
-	var cands []*task.Task
+	cands := b.victimBuf[:0]
 	for _, t := range b.members[b.coreIdx[remote]] {
 		if t.State == task.Sleeping || t.State == task.Blocked {
 			// Re-pinning a sleeper is possible but pointless: its
@@ -1239,6 +1252,7 @@ func (b *Balancer) pickVictim(remote, local int) *task.Task {
 		}
 		cands = append(cands, t)
 	}
+	b.victimBuf = cands
 	if len(cands) == 0 {
 		return nil
 	}

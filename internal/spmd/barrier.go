@@ -25,7 +25,7 @@ type Barrier struct {
 	n       int
 	arrived int
 	gen     int
-	waiters []*task.Task
+	waiters waitList
 	// arrivedAt mirrors waiters with each waiter's arrival time, feeding
 	// the barrier-wait histogram when the machine collects metrics.
 	arrivedAt []int64
@@ -63,7 +63,7 @@ func (b *Barrier) Arrive(t *task.Task, w task.Waker) bool {
 	}
 	b.arrived++
 	if b.arrived < b.n {
-		b.waiters = append(b.waiters, t)
+		b.waiters.add(t)
 		b.arrivedAt = append(b.arrivedAt, w.Now())
 		return false
 	}
@@ -87,17 +87,13 @@ func (b *Barrier) Arrive(t *task.Task, w task.Waker) bool {
 		em.Emit(trace.Event{Kind: trace.KindBarrierRelease, Core: t.CoreID,
 			Task: t.ID, TaskName: t.Name, N: b.n})
 	}
-	ws := b.waiters
-	b.waiters = nil
 	b.arrivedAt = b.arrivedAt[:0]
-	for _, wt := range ws {
-		w.Release(wt)
-	}
+	b.waiters.releaseAll(w)
 	return true
 }
 
 // Waiting returns how many parties are currently waiting.
-func (b *Barrier) Waiting() int { return len(b.waiters) }
+func (b *Barrier) Waiting() int { return len(b.waiters.cur) }
 
 // Gen returns the current generation (completed episodes).
 func (b *Barrier) Gen() int { return b.gen }
@@ -108,7 +104,7 @@ func (b *Barrier) Gen() int { return b.gen }
 type Counter struct {
 	remaining int
 	done      bool
-	waiters   []*task.Task
+	waiters   waitList
 }
 
 // NewCounter returns a countdown condition for n arrivals.
@@ -127,13 +123,30 @@ func (c *Counter) Arrive(t *task.Task, w task.Waker) bool {
 	c.remaining--
 	if c.remaining <= 0 {
 		c.done = true
-		ws := c.waiters
-		c.waiters = nil
-		for _, wt := range ws {
-			w.Release(wt)
-		}
+		c.waiters.releaseAll(w)
 		return true
 	}
-	c.waiters = append(c.waiters, t)
+	c.waiters.add(t)
 	return false
+}
+
+// waitList holds a condition's waiting tasks in one of two buffers that
+// swap at every release, so a generational barrier reuses its storage
+// across episodes instead of growing a fresh slice each time. A task
+// that re-arrives while releaseAll is still walking the released buffer
+// (a Waker that runs it on at once) lands in the other one.
+type waitList struct {
+	cur, spare []*task.Task
+}
+
+func (l *waitList) add(t *task.Task) { l.cur = append(l.cur, t) }
+
+// releaseAll empties the list and releases every task that was on it,
+// in arrival order.
+func (l *waitList) releaseAll(w task.Waker) {
+	ws := l.cur
+	l.cur, l.spare = l.spare[:0], ws
+	for _, wt := range ws {
+		w.Release(wt)
+	}
 }

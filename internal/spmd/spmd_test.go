@@ -96,9 +96,9 @@ func TestCounter(t *testing.T) {
 	done := 0
 	mk := func(name string) *task.Task {
 		prog := &task.Seq{Actions: []task.Action{
-			task.Compute{Work: 1e6},
-			task.WaitFor{C: c, Policy: task.WaitBlock},
-			task.Compute{Work: 1e6},
+			task.Compute(1e6),
+			task.WaitFor(c, task.WaitBlock, 0),
+			task.Compute(1e6),
 		}}
 		tk := m.NewTask(name, prog)
 		return tk
@@ -217,5 +217,60 @@ func TestOnDoneFiresOnce(t *testing.T) {
 	m.Run(int64(time.Minute))
 	if fired != 1 {
 		t.Errorf("OnDone fired %d times", fired)
+	}
+}
+
+// rearriveWaker re-arrives every released task at the barrier before
+// Release returns, as a runtime that runs a thread straight on to its
+// next barrier would.
+type rearriveWaker struct {
+	b        *spmd.Barrier
+	released map[*task.Task]int
+}
+
+func (w *rearriveWaker) Now() int64 { return 0 }
+
+func (w *rearriveWaker) Release(t *task.Task) {
+	w.released[t]++
+	if w.b.Arrive(t, w) {
+		panic("a re-arrival completed an episode its own release loop had not finished")
+	}
+}
+
+// A thread that re-arrives while the release loop is still walking the
+// waiters belongs to the next episode: every waiter of an episode is
+// released exactly once, and the re-arrivals wait for the next last
+// arriver. The two waiter buffers swap at each release, so the
+// steady-state crossing allocates nothing.
+func TestBarrierReleaseReentry(t *testing.T) {
+	b := spmd.NewBarrier(4)
+	w := &rearriveWaker{b: b, released: map[*task.Task]int{}}
+	waiters := []*task.Task{{ID: 0}, {ID: 1}, {ID: 2}}
+	last := &task.Task{ID: 3}
+	for _, wt := range waiters {
+		if b.Arrive(wt, w) {
+			t.Fatal("barrier opened before its last party arrived")
+		}
+	}
+	cross := func() {
+		if !b.Arrive(last, w) {
+			t.Fatal("last arriver did not open the barrier")
+		}
+	}
+	const episodes = 5
+	for i := 0; i < episodes; i++ {
+		cross()
+	}
+	for _, wt := range waiters {
+		if got := w.released[wt]; got != episodes {
+			t.Errorf("task %d released %d times over %d episodes", wt.ID, got, episodes)
+		}
+	}
+	if b.Crossings != episodes || b.Waiting() != len(waiters) {
+		t.Errorf("crossings %d, waiting %d; want %d and %d (the re-arrivals)",
+			b.Crossings, b.Waiting(), episodes, len(waiters))
+	}
+	if avg := testing.AllocsPerRun(20, cross); avg != 0 && !raceEnabled {
+		t.Errorf("a barrier crossing allocates %v times, want 0", avg)
 	}
 }

@@ -12,33 +12,57 @@ type Program interface {
 	Next(t *Task, now int64) Action
 }
 
-// Action is one step of a task's program.
-type Action interface{ isAction() }
+// Action is one step of a task's program: a kind plus the fields that
+// kind reads. Programs build actions with Compute, Sleep, WaitFor and
+// Exit and return them by value, so a program step allocates nothing.
+// The zero Action has no valid kind; the machine panics on it.
+type Action struct {
+	Kind ActionKind
+	// Work is a Compute action's work (one unit = 1 ns on a speed-1.0
+	// core).
+	Work float64
+	// D is a Sleep action's duration, or a WaitFor action's spin budget
+	// under WaitSpinThenBlock (the OpenMP KMP_BLOCKTIME; 0 takes the
+	// machine's default).
+	D time.Duration
+	// C and Policy are a WaitFor action's condition and wait policy.
+	C      Cond
+	Policy WaitPolicy
+}
 
-// Compute retires Work units of work (one unit = 1 ns on a speed-1.0
+// ActionKind says what an Action does.
+type ActionKind uint8
+
+const (
+	actInvalid ActionKind = iota
+	// ActCompute retires Work.
+	ActCompute
+	// ActSleep takes the task off the run queue for D (nanosleep/usleep
+	// semantics).
+	ActSleep
+	// ActWait waits until C is satisfied, under Policy.
+	ActWait
+	// ActExit ends the task.
+	ActExit
+)
+
+// Compute retires work units of work (one unit = 1 ns on a speed-1.0
 // core).
-type Compute struct{ Work float64 }
+func Compute(work float64) Action { return Action{Kind: ActCompute, Work: work} }
 
-// Sleep takes the task off the run queue for the given duration
-// (nanosleep/usleep semantics).
-type Sleep struct{ D time.Duration }
+// Sleep takes the task off the run queue for d (nanosleep/usleep
+// semantics).
+func Sleep(d time.Duration) Action { return Action{Kind: ActSleep, D: d} }
 
-// WaitFor waits until the condition C is satisfied, using the given wait
-// policy. For WaitSpinThenBlock, Blocktime is the spin budget before
-// blocking (the OpenMP KMP_BLOCKTIME).
-type WaitFor struct {
-	C         Cond
-	Policy    WaitPolicy
-	Blocktime time.Duration
+// WaitFor waits until c is satisfied, using policy p. For
+// WaitSpinThenBlock, blocktime is the spin budget before blocking (the
+// OpenMP KMP_BLOCKTIME); other policies ignore it.
+func WaitFor(c Cond, p WaitPolicy, blocktime time.Duration) Action {
+	return Action{Kind: ActWait, C: c, Policy: p, D: blocktime}
 }
 
 // Exit ends the task.
-type Exit struct{}
-
-func (Compute) isAction() {}
-func (Sleep) isAction()   {}
-func (WaitFor) isAction() {}
-func (Exit) isAction()    {}
+func Exit() Action { return Action{Kind: ActExit} }
 
 // WaitPolicy is how a task waits for a condition. The choice is the
 // load-balancer-visible difference between synchronization
@@ -112,7 +136,7 @@ type Seq struct {
 // Next implements Program.
 func (s *Seq) Next(t *Task, now int64) Action {
 	if s.next >= len(s.Actions) {
-		return Exit{}
+		return Exit()
 	}
 	a := s.Actions[s.next]
 	s.next++
@@ -120,7 +144,9 @@ func (s *Seq) Next(t *Task, now int64) Action {
 }
 
 // Loop is a Program that repeats a body of actions for a fixed number of
-// iterations (forever if Iterations <= 0), then exits.
+// iterations (forever if Iterations <= 0), then exits. Loop never writes
+// to the slice Body returns, so a Body that returns one shared slice
+// makes every iteration allocation-free.
 type Loop struct {
 	Body       func(iter int) []Action
 	Iterations int
@@ -133,7 +159,7 @@ type Loop struct {
 func (l *Loop) Next(t *Task, now int64) Action {
 	for len(l.pending) == 0 {
 		if l.Iterations > 0 && l.iter >= l.Iterations {
-			return Exit{}
+			return Exit()
 		}
 		l.pending = l.Body(l.iter)
 		l.iter++
@@ -157,5 +183,5 @@ func (c *ComputeForever) Next(t *Task, now int64) Action {
 	if chunk <= 0 {
 		chunk = 1e9 // 1 simulated second
 	}
-	return Compute{Work: chunk}
+	return Compute(chunk)
 }

@@ -89,8 +89,8 @@ type Task struct {
 	// rewriting this set.
 	Affinity cpuset.Set
 
-	// Prog supplies the task's actions. Nil means the task computes
-	// forever (used for cpu-hogs built via RunForever).
+	// Prog supplies the task's actions. A nil Prog exits as soon as
+	// the task starts; cpu-hogs use ComputeForever.
 	Prog Program
 
 	// Group labels related tasks (an application); balancers that are

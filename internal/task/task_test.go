@@ -82,17 +82,17 @@ func TestWaitPolicyString(t *testing.T) {
 }
 
 func TestSeqProgram(t *testing.T) {
-	p := &Seq{Actions: []Action{Compute{Work: 1}, Sleep{D: 2}}}
-	if _, ok := p.Next(nil, 0).(Compute); !ok {
-		t.Fatal("first action not Compute")
+	p := &Seq{Actions: []Action{Compute(1), Sleep(2)}}
+	if a := p.Next(nil, 0); a.Kind != ActCompute || a.Work != 1 {
+		t.Fatalf("first action = %+v, want Compute(1)", a)
 	}
-	if _, ok := p.Next(nil, 0).(Sleep); !ok {
-		t.Fatal("second action not Sleep")
+	if a := p.Next(nil, 0); a.Kind != ActSleep || a.D != 2 {
+		t.Fatalf("second action = %+v, want Sleep(2)", a)
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
+	if p.Next(nil, 0).Kind != ActExit {
 		t.Fatal("exhausted Seq did not Exit")
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
+	if p.Next(nil, 0).Kind != ActExit {
 		t.Fatal("Exit not sticky")
 	}
 }
@@ -106,13 +106,13 @@ func TestLoopProgram(t *testing.T) {
 			if iter != calls-1 {
 				t.Errorf("body iter = %d, want %d", iter, calls-1)
 			}
-			return []Action{Compute{Work: 1}, Compute{Work: 2}}
+			return []Action{Compute(1), Compute(2)}
 		},
 	}
 	var seq []Action
 	for {
 		a := p.Next(nil, 0)
-		if _, done := a.(Exit); done {
+		if a.Kind == ActExit {
 			break
 		}
 		seq = append(seq, a)
@@ -134,13 +134,13 @@ func TestLoopEmptyBody(t *testing.T) {
 			if iter == 0 {
 				return nil
 			}
-			return []Action{Compute{Work: 5}}
+			return []Action{Compute(5)}
 		},
 	}
-	if _, ok := p.Next(nil, 0).(Compute); !ok {
+	if p.Next(nil, 0).Kind != ActCompute {
 		t.Error("empty body iteration not skipped")
 	}
-	if _, ok := p.Next(nil, 0).(Exit); !ok {
+	if p.Next(nil, 0).Kind != ActExit {
 		t.Error("loop did not exit after iterations")
 	}
 }
@@ -148,16 +148,42 @@ func TestLoopEmptyBody(t *testing.T) {
 func TestComputeForever(t *testing.T) {
 	p := &ComputeForever{Chunk: 7}
 	for i := 0; i < 10; i++ {
-		a, ok := p.Next(nil, 0).(Compute)
-		if !ok || a.Work != 7 {
-			t.Fatalf("action %d = %#v", i, a)
+		if a := p.Next(nil, 0); a.Kind != ActCompute || a.Work != 7 {
+			t.Fatalf("action %d = %+v", i, a)
 		}
 	}
 	d := &ComputeForever{}
-	if a := d.Next(nil, 0).(Compute); a.Work <= 0 {
+	if a := d.Next(nil, 0); a.Kind != ActCompute || a.Work <= 0 {
 		t.Error("default chunk not positive")
 	}
 }
+
+// Each constructor sets its kind and only the fields that kind reads,
+// and the zero Action matches no kind, so a program that forgets to
+// build its action fails loudly in the machine instead of exiting.
+func TestActionConstructors(t *testing.T) {
+	var c Cond = nopCond{}
+	for _, tc := range []struct {
+		got, want Action
+	}{
+		{Compute(3), Action{Kind: ActCompute, Work: 3}},
+		{Sleep(4), Action{Kind: ActSleep, D: 4}},
+		{WaitFor(c, WaitSpinThenBlock, 5), Action{Kind: ActWait, C: c, Policy: WaitSpinThenBlock, D: 5}},
+		{Exit(), Action{Kind: ActExit}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("got %+v, want %+v", tc.got, tc.want)
+		}
+	}
+	switch (Action{}).Kind {
+	case ActCompute, ActSleep, ActWait, ActExit:
+		t.Error("the zero Action has a valid kind")
+	}
+}
+
+type nopCond struct{}
+
+func (nopCond) Arrive(*Task, Waker) bool { return true }
 
 func TestTaskPredicates(t *testing.T) {
 	tk := &Task{State: Running}
